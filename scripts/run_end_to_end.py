@@ -18,20 +18,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from netsar.cli import reconstruct_run, simulate_run
+from netsar.cli import build_scene, reconstruct_run, simulate_run
 from netsar.config import RunConfig, load_config
 from netsar.imageio import read_table
-from netsar.scene import random_reflector_scene
 
 
 def score(cfg: RunConfig, out: Path, match_radius: float):
-    truth = random_reflector_scene(
-        extent=(cfg.scene.extent_m, cfg.scene.extent_m),
-        count=cfg.scene.reflector_count,
-        side=cfg.scene.reflector_side_m,
-        seed=cfg.scene.seed,
-        resolution=cfg.scene.resolution_m,
-    )
+    truth = build_scene(cfg)
     centers = [r.center.horizontal() for r in truth.reflectors]
     _, rows = read_table(out / "estimates.csv")
     est = np.array([[float(r[0]), float(r[1])] for r in rows]).reshape(-1, 2)

@@ -32,20 +32,14 @@ from .analysis import (
 from .config import RunConfig, load_config, serialize_config
 from .constants import SPEED_OF_LIGHT
 from .errors import (
+    ConfigError,
     EmptyFootprintError,
     InvalidBeamError,
     MissingDatasetError,
     UnknownAlgorithmError,
 )
-from .forward import MeasurementPatch, WaveformSpec, synthesize_measurement
-from .geometry import (
-    BaseStation,
-    BeamSpec,
-    GroundPoint,
-    beam_footprint,
-    bistatic_direction,
-    bistatic_factor,
-)
+from .forward import WaveformSpec, measurement_patch, synthesize_measurement
+from .geometry import BaseStation, BeamSpec, GroundPoint, beam_footprint
 from .imageio import write_pgm, write_table
 from .isar import (
     VoxelGrid,
@@ -55,7 +49,7 @@ from .isar import (
     voxel_grid_slices_to_pgm,
     voxel_grid_to_csv,
 )
-from .patches import align_and_place, align_distance
+from .patches import align_and_place, align_distance, wavenumber_vectors
 from .reconstruct import (
     estimate_height,
     fuse_images,
@@ -64,7 +58,7 @@ from .reconstruct import (
     procedure2_per_patch,
     range_profiles,
 )
-from .scene import random_reflector_scene, scene_from_csv, scene_to_csv, scene_to_pgm
+from .scene import Scene, random_reflector_scene, scene_from_csv, scene_to_csv, scene_to_pgm
 from .tradeoff import (
     channel_from_csv,
     example_channel,
@@ -105,6 +99,18 @@ def build_network(cfg: RunConfig) -> list[BaseStation]:
                 )
             )
     return stations
+
+
+def build_scene(cfg: RunConfig) -> Scene:
+    """The ground-truth reflector scene the config's scene section describes."""
+    sc = cfg.scene
+    return random_reflector_scene(
+        extent=(sc.extent_m, sc.extent_m),
+        count=sc.reflector_count,
+        side=sc.reflector_side_m,
+        seed=sc.seed,
+        resolution=sc.resolution_m,
+    )
 
 
 def channel_waveform(cfg: RunConfig, channel: int) -> WaveformSpec:
@@ -158,14 +164,7 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     annotated rather than stored.
     """
     out.mkdir(parents=True, exist_ok=True)
-    sc = cfg.scene
-    scene = random_reflector_scene(
-        extent=(sc.extent_m, sc.extent_m),
-        count=sc.reflector_count,
-        side=sc.reflector_side_m,
-        seed=sc.seed,
-        resolution=sc.resolution_m,
-    )
+    scene = build_scene(cfg)
     stations = build_network(cfg)
     sch = cfg.schedule
     open_angle = math.radians(cfg.beam.open_angle_deg)
@@ -287,31 +286,23 @@ def load_dataset(cfg: RunConfig, dataset: Path):
     col = {name: k for k, name in enumerate(header)}
     patches = []
     for row in rows:
-        tx = stations[row[col["tx_id"]]]
-        rx = stations[row[col["rx_id"]]]
+        try:
+            tx, rx = stations[row[col["tx_id"]]], stations[row[col["rx_id"]]]
+        except KeyError as exc:
+            raise ConfigError(
+                f"dataset station {exc.args[0]} is not in the configured "
+                f"{cfg.network.grid_side}x{cfg.network.grid_side} network"
+            ) from None
         center = GroundPoint(
             float(row[col["center_x"]]), float(row[col["center_y"]])
         )
-        wf = channel_waveform(cfg, int(row[col["channel"]]))
-        tx_pos = tx.position.as_array()
-        rx_pos = rx.position.as_array()
-        d1 = np.linalg.norm(tx_pos - center.as_array())
-        d2 = np.linalg.norm(rx_pos - center.as_array())
         patches.append(
-            MeasurementPatch(
-                samples=stacked[int(row[col["index"]])],
-                tx_id=tx.station_id,
-                rx_id=rx.station_id,
-                direction=bistatic_direction(tx.position, rx.position, center),
-                bistatic_scale=bistatic_factor(tx.position, rx.position, center),
-                composite_distance=float(d1 + d2),
-                region_center=center,
-                waveform=wf,
-                rx_antenna_positions=rx.antenna_positions(),
-                rx_antenna_spacing=rx.antenna_spacing,
-                rx_array_orientation=rx.array_orientation,
-                tx_position=tx_pos,
-                rx_position=rx_pos,
+            measurement_patch(
+                stacked[int(row[col["index"]])],
+                tx,
+                rx,
+                channel_waveform(cfg, int(row[col["channel"]])),
+                center,
             )
         )
     return patches
@@ -433,21 +424,8 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         report.append(f"height_pixels = {int(valid.sum())}")
     elif algorithm == "isar":
         group = _largest_center_group(raw)
-        center = group[0].region_center.as_array()
-        kvecs = []
-        values = []
-        for p in group:
-            ap = align_distance(p)
-            k = p.waveform.wavenumbers()
-            u_tx = p.tx_position - center
-            u_tx /= np.linalg.norm(u_tx)
-            rel = p.rx_antenna_positions - center[None, :]
-            u_rx = rel / np.linalg.norm(rel, axis=1)[:, None]
-            ksum = u_tx[None, None, :] + u_rx[:, None, :]  # (N_a, 1, 3)
-            kvecs.append((k[None, :, None] * ksum).reshape(-1, 3))
-            values.append(ap.samples.reshape(-1))
-        kvecs = np.concatenate(kvecs)
-        values = np.concatenate(values)
+        kvecs = np.concatenate([wavenumber_vectors(p).reshape(-1, 3) for p in group])
+        values = np.concatenate([align_distance(p).samples.reshape(-1) for p in group])
         stride = max(1, kvecs.shape[0] // 1500)
         kvecs, values = kvecs[::stride], values[::stride]
         # aligned samples carry exp(+j k . p): negate k for the e^{-j} model
@@ -543,7 +521,12 @@ def main(argv=None) -> int:
     _add_common(p_scn)
 
     args = parser.parse_args(argv)
-    cfg = load_config(args.config) if args.config else RunConfig()
+    config = args.config
+    if config is None and args.command == "reconstruct":
+        # a dataset records the config it was simulated with
+        if (args.dataset / "config.txt").exists():
+            config = args.dataset / "config.txt"
+    cfg = load_config(config) if config else RunConfig()
     seed = args.seed if args.seed is not None else cfg.schedule.seed
     out = args.out if args.out is not None else Path(cfg.output_dir)
 
@@ -557,14 +540,7 @@ def main(argv=None) -> int:
         analyze_run(cfg, args.subcommand, out, seed, args)
     elif args.command == "scene":
         out.mkdir(parents=True, exist_ok=True)
-        sc = cfg.scene
-        scene = random_reflector_scene(
-            extent=(sc.extent_m, sc.extent_m),
-            count=sc.reflector_count,
-            side=sc.reflector_side_m,
-            seed=sc.seed,
-            resolution=sc.resolution_m,
-        )
+        scene = build_scene(cfg)
         scene_to_csv(scene, out / "scene.csv")
         scene_to_pgm(scene, out / "scene.pgm")
         write_manifest(out, cfg, seed, ["scene_only = 1"])

@@ -7,8 +7,6 @@ parseable from any language; serialize(parse(text)) is idempotent.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError

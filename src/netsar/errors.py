@@ -17,10 +17,6 @@ class EmptyFootprintError(NetsarError):
     """No scene pixel falls inside the illuminated footprint."""
 
 
-class MismatchedLayerError(NetsarError):
-    """Antenna layers disagree on station identity or waveform."""
-
-
 class IndexOverflowError(NetsarError):
     """A spectrum sample falls outside the global wavenumber grid."""
 

@@ -9,13 +9,12 @@ the forward model stays independent of the reconstruction chain.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import EmptyFootprintError, MismatchedLayerError
+from .errors import EmptyFootprintError
 from .geometry import (
     BaseStation,
     BeamSpec,
@@ -79,7 +78,6 @@ class MeasurementPatch:
     rx_array_orientation: float
     tx_position: np.ndarray
     rx_position: np.ndarray
-    ground_coords: np.ndarray | None = None
 
     def __post_init__(self):
         n_ant = self.rx_antenna_positions.shape[0]
@@ -91,6 +89,39 @@ class MeasurementPatch:
     @property
     def antenna_count(self) -> int:
         return self.samples.shape[0]
+
+
+def measurement_patch(
+    samples: np.ndarray,
+    tx: BaseStation,
+    rx: BaseStation,
+    wf: WaveformSpec,
+    region_center: GroundPoint,
+) -> MeasurementPatch:
+    """Wrap samples recorded by rx from tx's beam with their bistatic metadata.
+
+    Direction, scale and composite distance are taken at the region
+    center; the receive-array snapshot comes from the station itself.
+    """
+    tx_pos = tx.position.as_array()
+    rx_pos = rx.position.as_array()
+    d1 = np.linalg.norm(tx_pos - region_center.as_array())
+    d2 = np.linalg.norm(rx_pos - region_center.as_array())
+    return MeasurementPatch(
+        samples=samples,
+        tx_id=tx.station_id,
+        rx_id=rx.station_id,
+        direction=bistatic_direction(tx.position, rx.position, region_center),
+        bistatic_scale=bistatic_factor(tx.position, rx.position, region_center),
+        composite_distance=float(d1 + d2),
+        region_center=region_center,
+        waveform=wf,
+        rx_antenna_positions=rx.antenna_positions(),
+        rx_antenna_spacing=rx.antenna_spacing,
+        rx_array_orientation=rx.array_orientation,
+        tx_position=tx_pos,
+        rx_position=rx_pos,
+    )
 
 
 def synthesize_measurement(
@@ -162,187 +193,4 @@ def synthesize_measurement(
             rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
         )
 
-    direction = bistatic_direction(tx.position, rx.position, region_center)
-    scale = bistatic_factor(tx.position, rx.position, region_center)
-    d1 = np.linalg.norm(tx_pos - region_center.as_array())
-    d2 = np.linalg.norm(rx.position.as_array() - region_center.as_array())
-
-    return MeasurementPatch(
-        samples=samples,
-        tx_id=tx.station_id,
-        rx_id=rx.station_id,
-        direction=direction,
-        bistatic_scale=scale,
-        composite_distance=float(d1 + d2),
-        region_center=region_center,
-        waveform=wf,
-        rx_antenna_positions=rx_pos,
-        rx_antenna_spacing=rx.antenna_spacing,
-        rx_array_orientation=rx.array_orientation,
-        tx_position=tx_pos,
-        rx_position=rx.position.as_array(),
-    )
-
-
-def transfer_function_estimate(tx_symbols, rx_symbols) -> np.ndarray:
-    """Per-subcarrier ratio of received to transmitted symbols."""
-    x = np.asarray(tx_symbols, dtype=complex)
-    y = np.asarray(rx_symbols, dtype=complex)
-    if x.shape != y.shape:
-        raise ValueError("tx and rx symbol sequences must have equal length")
-    zero = np.nonzero(x == 0)[0]
-    if zero.size:
-        raise ZeroDivisionError(
-            f"transmitted symbol is zero at subcarrier index {int(zero[0])}"
-        )
-    return y / x
-
-
-def project_layers(
-    patches: list[MeasurementPatch], tilts: list[float]
-) -> MeasurementPatch:
-    """Merge tilted antenna layers onto the ground data-collection surface.
-
-    Each layer's per-sample surface coordinates (X_l = antenna offset,
-    Y_m = subcarrier wavenumber) are remapped to (X_l, Y_m * cos(tilt))
-    and the layers are stacked into one patch. A single layer at zero
-    tilt is the identity on coordinates.
-    """
-    if len(patches) != len(tilts) or not patches:
-        raise MismatchedLayerError("need one tilt per layer and at least one layer")
-    first = patches[0]
-    for p in patches[1:]:
-        if (
-            p.tx_id != first.tx_id
-            or p.rx_id != first.rx_id
-            or p.waveform != first.waveform
-        ):
-            raise MismatchedLayerError("layers must share station identity and waveform")
-
-    sample_blocks = []
-    coord_blocks = []
-    pos_blocks = []
-    for patch, tilt in zip(patches, tilts):
-        n_ant, n_sub = patch.samples.shape
-        offsets = (
-            np.arange(n_ant) - (n_ant - 1) / 2.0
-        ) * patch.rx_antenna_spacing
-        y = patch.waveform.wavenumbers() * np.cos(tilt)
-        coords = np.empty((n_ant, n_sub, 2))
-        coords[:, :, 0] = offsets[:, None]
-        coords[:, :, 1] = y[None, :]
-        sample_blocks.append(patch.samples)
-        coord_blocks.append(coords)
-        pos_blocks.append(patch.rx_antenna_positions)
-
-    return replace(
-        first,
-        samples=np.concatenate(sample_blocks, axis=0),
-        ground_coords=np.concatenate(coord_blocks, axis=0),
-        rx_antenna_positions=np.concatenate(pos_blocks, axis=0),
-    )
-
-
-_META_FIELDS = [
-    "tx_id",
-    "rx_id",
-    "direction_x",
-    "direction_y",
-    "bistatic_scale",
-    "composite_distance",
-    "center_x",
-    "center_y",
-    "center_z",
-    "carrier_frequency",
-    "subcarrier_count",
-    "subcarrier_spacing",
-    "rx_antenna_spacing",
-    "rx_array_orientation",
-    "tx_x",
-    "tx_y",
-    "tx_z",
-    "rx_x",
-    "rx_y",
-    "rx_z",
-]
-
-
-def patch_to_csv(patch: MeasurementPatch, path) -> None:
-    """Header rows with geometry metadata, then one row per sample."""
-    meta = {
-        "tx_id": patch.tx_id,
-        "rx_id": patch.rx_id,
-        "direction_x": repr(float(patch.direction[0])),
-        "direction_y": repr(float(patch.direction[1])),
-        "bistatic_scale": repr(float(patch.bistatic_scale)),
-        "composite_distance": repr(float(patch.composite_distance)),
-        "center_x": repr(patch.region_center.x),
-        "center_y": repr(patch.region_center.y),
-        "center_z": repr(patch.region_center.z),
-        "carrier_frequency": repr(patch.waveform.carrier_frequency),
-        "subcarrier_count": str(patch.waveform.subcarrier_count),
-        "subcarrier_spacing": repr(patch.waveform.subcarrier_spacing),
-        "rx_antenna_spacing": repr(patch.rx_antenna_spacing),
-        "rx_array_orientation": repr(patch.rx_array_orientation),
-        "tx_x": repr(float(patch.tx_position[0])),
-        "tx_y": repr(float(patch.tx_position[1])),
-        "tx_z": repr(float(patch.tx_position[2])),
-        "rx_x": repr(float(patch.rx_position[0])),
-        "rx_y": repr(float(patch.rx_position[1])),
-        "rx_z": repr(float(patch.rx_position[2])),
-    }
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for key in _META_FIELDS:
-            writer.writerow(["#meta", key, meta[key]])
-        writer.writerow(["#antennas", str(patch.antenna_count)])
-        for row in patch.rx_antenna_positions:
-            writer.writerow(["#antenna_pos"] + [repr(float(v)) for v in row])
-        writer.writerow(["antenna_index", "subcarrier_index", "re", "im"])
-        n_ant, n_sub = patch.samples.shape
-        for l in range(n_ant):
-            for m in range(n_sub):
-                v = patch.samples[l, m]
-                writer.writerow([l, m, repr(float(v.real)), repr(float(v.imag))])
-
-
-def patch_from_csv(path) -> MeasurementPatch:
-    meta = {}
-    antenna_rows = []
-    samples = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if row[0] == "#meta":
-                meta[row[1]] = row[2]
-            elif row[0] == "#antennas":
-                n_ant = int(row[1])
-            elif row[0] == "#antenna_pos":
-                antenna_rows.append([float(v) for v in row[1:]])
-            elif row[0] == "antenna_index":
-                n_sub = int(meta["subcarrier_count"])
-                samples = np.zeros((n_ant, n_sub), dtype=complex)
-            else:
-                samples[int(row[0]), int(row[1])] = float(row[2]) + 1j * float(row[3])
-    wf = WaveformSpec(
-        carrier_frequency=float(meta["carrier_frequency"]),
-        subcarrier_count=int(meta["subcarrier_count"]),
-        subcarrier_spacing=float(meta["subcarrier_spacing"]),
-    )
-    return MeasurementPatch(
-        samples=samples,
-        tx_id=meta["tx_id"],
-        rx_id=meta["rx_id"],
-        direction=np.array([float(meta["direction_x"]), float(meta["direction_y"])]),
-        bistatic_scale=float(meta["bistatic_scale"]),
-        composite_distance=float(meta["composite_distance"]),
-        region_center=GroundPoint(
-            float(meta["center_x"]), float(meta["center_y"]), float(meta["center_z"])
-        ),
-        waveform=wf,
-        rx_antenna_positions=np.array(antenna_rows),
-        rx_antenna_spacing=float(meta["rx_antenna_spacing"]),
-        rx_array_orientation=float(meta["rx_array_orientation"]),
-        tx_position=np.array([float(meta["tx_x"]), float(meta["tx_y"]), float(meta["tx_z"])]),
-        rx_position=np.array([float(meta["rx_x"]), float(meta["rx_y"]), float(meta["rx_z"])]),
-    )
+    return measurement_patch(samples, tx, rx, wf, region_center)

@@ -1,8 +1,8 @@
 """Spatial geometry for multistatic ground imaging.
 
-Bistatic distances and their far-field approximations, composite look
-directions, beam-cone ground footprints, and the rotation between the
-ground frame and per-patch (range, cross) frames.
+Station arrays, composite bistatic look directions and scale factors,
+beam-cone ground footprints, and the rotation between the ground frame
+and per-patch (range, cross) frames.
 
 All slicing computations take positions relative to an explicit
 illuminated-region center; callers pass the center instead of assuming
@@ -41,21 +41,23 @@ class GroundPoint:
         return np.array([self.x, self.y], dtype=float)
 
 
+def antenna_offsets(count: int, spacing: float) -> np.ndarray:
+    """Signed offsets of a centered uniform linear array along its axis."""
+    return (np.arange(count) - (count - 1) / 2.0) * spacing
+
+
 @dataclass(frozen=True)
 class BaseStation:
     """An elevated station with a uniform linear antenna array.
 
     The array is centered on the station position, lies in a horizontal
     plane, and points along ``array_orientation`` (azimuth, radians).
-    ``layers`` optionally stacks extra tilted rows above the base layer,
-    given as (antenna count, tilt angle) pairs.
     """
 
     position: GroundPoint
     antenna_count: int = 1
     antenna_spacing: float = 0.5
     array_orientation: float = 0.0
-    layers: tuple[tuple[int, float], ...] = ()
     station_id: str = "bs"
 
     def __post_init__(self):
@@ -65,24 +67,17 @@ class BaseStation:
             raise ValueError("antenna_count must be >= 1")
         if self.antenna_spacing <= 0:
             raise ValueError("antenna_spacing must be positive")
-        for count, tilt in self.layers:
-            if count < 1:
-                raise ValueError("layer antenna count must be >= 1")
-            if not 0.0 <= tilt < math.pi / 2:
-                raise ValueError("layer tilt must lie in [0, pi/2)")
 
     @property
     def height(self) -> float:
         return self.position.z
 
     def antenna_positions(self) -> np.ndarray:
-        """Phase centers of the base layer, shape (antenna_count, 3)."""
+        """Phase centers of the array, shape (antenna_count, 3)."""
         axis = np.array(
             [math.cos(self.array_orientation), math.sin(self.array_orientation), 0.0]
         )
-        offsets = (
-            np.arange(self.antenna_count) - (self.antenna_count - 1) / 2.0
-        ) * self.antenna_spacing
+        offsets = antenna_offsets(self.antenna_count, self.antenna_spacing)
         return self.position.as_array()[None, :] + offsets[:, None] * axis[None, :]
 
 
@@ -174,33 +169,6 @@ def bistatic_factor(
 ) -> float:
     """Horizontal norm of the composite direction sum (range scale factor)."""
     return float(np.linalg.norm(bistatic_sum(tx, rx, center)[:2]))
-
-
-def bistatic_range(
-    tx: GroundPoint,
-    rx: GroundPoint,
-    p: GroundPoint,
-    center: GroundPoint = _ORIGIN,
-) -> tuple[float, float]:
-    """Exact and far-field-approximate bistatic path lengths through p.
-
-    Returns (exact, approx) where exact = |p - tx| + |p - rx| and the
-    approximation linearizes both legs about the region center. Both are
-    returned so callers can bound the approximation error.
-    """
-    pt = p.as_array()
-    exact = float(
-        np.linalg.norm(pt - tx.as_array()) + np.linalg.norm(pt - rx.as_array())
-    )
-    r1 = _rebased(tx, center)
-    r2 = _rebased(rx, center)
-    rel = pt - center.as_array()
-    approx = float(
-        np.linalg.norm(r1)
-        + np.linalg.norm(r2)
-        - rel @ (r1 / np.linalg.norm(r1) + r2 / np.linalg.norm(r2))
-    )
-    return exact, approx
 
 
 def beam_footprint(bs: BaseStation, beam: BeamSpec) -> EllipseFootprint:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT
 from .errors import EmptyInputError
 
 
@@ -85,6 +84,15 @@ def build_sensing_tensor(
     return amplitude * np.exp(-1j * kvecs @ pos.T)
 
 
+def _truncated_pinv(tensor: np.ndarray, svd_tolerance: float) -> tuple[np.ndarray, int]:
+    """Pseudo-inverse from one SVD, dropping singular values below
+    svd_tolerance * sigma_max; returns (pseudo-inverse, kept rank)."""
+    u, s, vh = np.linalg.svd(tensor, full_matrices=False)
+    keep = s > svd_tolerance * s[0] if s.size else np.zeros(0, dtype=bool)
+    rank = int(keep.sum())
+    return (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T, rank
+
+
 def invert_sensing_tensor(
     tensor: np.ndarray,
     measurements: np.ndarray,
@@ -106,16 +114,13 @@ def invert_sensing_tensor(
             f"tensor shape {tensor.shape} inconsistent with "
             f"{measurements.shape[0]} measurements and {n_vox} voxels"
         )
-    u, s, vh = np.linalg.svd(tensor, full_matrices=False)
-    keep = s > svd_tolerance * s[0] if s.size else np.zeros(0, dtype=bool)
-    rank = int(keep.sum())
+    inv, rank = _truncated_pinv(tensor, svd_tolerance)
     if rank < n_vox:
         warnings.warn(
             f"sensing map rank {rank} < voxel count {n_vox}: "
             "minimum-norm solution returned",
             stacklevel=2,
         )
-    inv = (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T
     rho = inv @ measurements
     out = VoxelGrid(
         M_side=grid.M_side, spacing=grid.spacing, values=rho.reshape(grid.shape)
@@ -125,36 +130,7 @@ def invert_sensing_tensor(
 
 def pseudo_inverse(tensor: np.ndarray, svd_tolerance: float = 1e-10) -> np.ndarray:
     """Truncated-SVD Moore-Penrose pseudo-inverse of the sensing map."""
-    u, s, vh = np.linalg.svd(tensor, full_matrices=False)
-    keep = s > svd_tolerance * s[0] if s.size else np.zeros(0, dtype=bool)
-    r = int(keep.sum())
-    return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
-
-
-def samples_from_network(
-    antenna_positions: np.ndarray,
-    frequencies: np.ndarray,
-    region_center: np.ndarray,
-) -> list[WavenumberSample]:
-    """Wavenumber sample geometry of an antenna set across subcarriers.
-
-    Each (antenna, frequency) pair contributes the k-vector
-    (2 pi f / c) * u, with u the unit vector from the region center to
-    the antenna. A single linear array therefore samples one plane
-    through the wavenumber origin.
-    """
-    antenna_positions = np.atleast_2d(np.asarray(antenna_positions, dtype=float))
-    region_center = np.asarray(region_center, dtype=float)
-    rel = antenna_positions - region_center[None, :]
-    norms = np.linalg.norm(rel, axis=1)
-    if np.any(norms < 1e-12):
-        raise ValueError("antenna coincides with the region center")
-    units = rel / norms[:, None]
-    out = []
-    for u in units:
-        for f in np.asarray(frequencies, dtype=float):
-            out.append(WavenumberSample(k_vector=2 * np.pi * f / SPEED_OF_LIGHT * u))
-    return out
+    return _truncated_pinv(tensor, svd_tolerance)[0]
 
 
 def voxel_grid_to_csv(grid: VoxelGrid, path) -> None:

@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT
 from .forward import MeasurementPatch, WaveformSpec
-from .geometry import GroundPoint
+from .geometry import GroundPoint, antenna_offsets
 
 
 @dataclass(frozen=True)
@@ -25,21 +24,17 @@ class AlignedPatch:
     """Spectrum-domain patch: samples plus per-sample wavenumber coordinates.
 
     ``wavenumber_coords[l, m]`` is the angular (k_x, k_y) coordinate in
-    rad/m of sample (l, m) in the global ground-plane spectrum frame;
-    ``spectrum_center`` is the coordinate of the patch center, kept for
-    frequency-offset re-centering.
+    rad/m of sample (l, m) in the global ground-plane spectrum frame.
     """
 
     samples: np.ndarray
     wavenumber_coords: np.ndarray
-    spectrum_center: np.ndarray
     direction: np.ndarray
     bistatic_scale: float
     tx_id: str
     rx_id: str
     region_center: GroundPoint
     waveform: WaveformSpec
-    bistatic_angle: float
 
     def __post_init__(self):
         if self.wavenumber_coords.shape != self.samples.shape + (2,):
@@ -87,21 +82,17 @@ def align_orientation(patch: MeasurementPatch) -> MeasurementPatch:
     s = math.sin(psi)
     if s == 0.0:
         return patch
-    n_ant = patch.antenna_count
-    offsets = (np.arange(n_ant) - (n_ant - 1) / 2.0) * patch.rx_antenna_spacing
+    offsets = antenna_offsets(patch.antenna_count, patch.rx_antenna_spacing)
     k = patch.waveform.wavenumbers()
     ramp = np.exp(1j * np.outer(offsets * s, k))
     return replace(patch, samples=patch.samples * ramp)
 
 
-def place_in_spectrum(patch: MeasurementPatch) -> AlignedPatch:
-    """Assign every aligned sample its global wavenumber coordinate.
+def wavenumber_vectors(patch: MeasurementPatch) -> np.ndarray:
+    """Wavenumber vector k_m * (u_tx + u_rx_l) of every sample, (N_a, M, 3).
 
-    Sample (l, m) sits at k_m * (u_tx + u_rx_l) projected to the ground
-    plane, where u_tx and u_rx_l are the unit vectors from the region
-    center to the transmitter and to the l-th receive antenna. The
-    radial spacing between adjacent subcarriers is therefore
-    2*pi*delta_f/c times the bistatic scale factor |u_tx + u_rx|.
+    u_tx and u_rx_l are the unit vectors from the region center to the
+    transmitter and to the l-th receive antenna.
     """
     center = patch.region_center.as_array()
     u_tx = patch.tx_position - center
@@ -110,72 +101,31 @@ def place_in_spectrum(patch: MeasurementPatch) -> AlignedPatch:
     u_rx = rel / np.linalg.norm(rel, axis=1)[:, None]
     s = u_tx[None, :] + u_rx  # (N_a, 3)
     k = patch.waveform.wavenumbers()
-    coords = k[None, :, None] * s[:, None, :2]
+    return k[None, :, None] * s[:, None, :]
 
-    u_rx_center = patch.rx_position - center
-    u_rx_center = u_rx_center / np.linalg.norm(u_rx_center)
-    k_center = (
-        2.0
-        * np.pi
-        * (patch.waveform.carrier_frequency
-           + (patch.waveform.subcarrier_count - 1) / 2.0 * patch.waveform.subcarrier_spacing)
-        / SPEED_OF_LIGHT
-    )
-    spectrum_center = k_center * (u_tx + u_rx_center)[:2]
-    cos_b = float(np.clip(u_tx @ u_rx_center, -1.0, 1.0))
+
+def place_in_spectrum(patch: MeasurementPatch) -> AlignedPatch:
+    """Assign every aligned sample its global wavenumber coordinate.
+
+    Sample (l, m) sits at its wavenumber vector projected to the ground
+    plane. The radial spacing between adjacent subcarriers is therefore
+    2*pi*delta_f/c times the bistatic scale factor |u_tx + u_rx|.
+    """
+    # placed before the samples copy, so that the freed 3-component
+    # temporary does not split the long-lived arrays on the heap
+    coords = wavenumber_vectors(patch)[..., :2].copy()
     return AlignedPatch(
         samples=patch.samples.copy(),
         wavenumber_coords=coords,
-        spectrum_center=spectrum_center,
         direction=patch.direction.copy(),
         bistatic_scale=patch.bistatic_scale,
         tx_id=patch.tx_id,
         rx_id=patch.rx_id,
         region_center=patch.region_center,
         waveform=patch.waveform,
-        bistatic_angle=math.acos(cos_b),
     )
 
 
 def align_and_place(patch: MeasurementPatch) -> AlignedPatch:
     """Full conditioning chain: distance, orientation, spectrum placement."""
     return place_in_spectrum(align_orientation(align_distance(patch)))
-
-
-def recenter(patch: AlignedPatch) -> AlignedPatch:
-    """Shift the spectrum origin to the patch center.
-
-    The image of the re-centered spectrum differs from the origin-anchored
-    one by a pure phase ramp, so reconstructed magnitudes are unchanged.
-    """
-    return replace(
-        patch,
-        wavenumber_coords=patch.wavenumber_coords - patch.spectrum_center[None, None, :],
-        spectrum_center=np.zeros(2),
-    )
-
-
-def aligned_patch_to_csv(patch: AlignedPatch, path) -> None:
-    """Same row schema as the raw patch CSV plus (k_x, k_y) columns."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["#meta", "tx_id", patch.tx_id])
-        writer.writerow(["#meta", "rx_id", patch.rx_id])
-        writer.writerow(["#meta", "direction_x", repr(float(patch.direction[0]))])
-        writer.writerow(["#meta", "direction_y", repr(float(patch.direction[1]))])
-        writer.writerow(
-            ["#meta", "spectrum_center", repr(float(patch.spectrum_center[0])),
-             repr(float(patch.spectrum_center[1]))]
-        )
-        writer.writerow(["antenna_index", "subcarrier_index", "re", "im", "k_x", "k_y"])
-        n_ant, n_sub = patch.samples.shape
-        for l in range(n_ant):
-            for m in range(n_sub):
-                v = patch.samples[l, m]
-                kx, ky = patch.wavenumber_coords[l, m]
-                writer.writerow(
-                    [l, m, repr(float(v.real)), repr(float(v.imag)),
-                     repr(float(kx)), repr(float(ky))]
-                )

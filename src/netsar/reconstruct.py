@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import griddata
@@ -52,7 +52,6 @@ class ReconstructedImage:
     pixel_spacing: tuple[float, float]
     origin: GroundPoint
     contributing_patches: tuple[str, ...] = ()
-    height: np.ndarray | None = None
     frame: RotatedFrame | None = None
 
     def __post_init__(self):
@@ -131,19 +130,13 @@ def bin_spectrum(
 
 
 def procedure1_invert(
-    patches: list[AlignedPatch],
-    S: int,
-    pixel_extent: float,
-    method: str = "idft",
-    lstsq_rcond: float = 1e-10,
+    patches: list[AlignedPatch], S: int, pixel_extent: float
 ) -> ReconstructedImage:
     """Global zero-filled spectrum inversion.
 
     Bins all samples into one 2S x 2S wavenumber grid (unmeasured bins
     stay zero) and inverts by 2-D discrete Fourier transform, taking
-    magnitudes. ``method="lstsq"`` instead solves a regularized least
-    squares system from the irregular samples directly (small grids
-    only). All patches must share one region center.
+    magnitudes. All patches must share one region center.
     """
     if not patches:
         raise EmptyInputError("at least one aligned patch is required")
@@ -152,101 +145,47 @@ def procedure1_invert(
         if not np.allclose(p.region_center.as_array(), center.as_array()):
             raise ValueError("procedure 1 requires a common region center")
     dx = pixel_extent / (2 * S)
-    ids = tuple(f"{p.tx_id}->{p.rx_id}" for p in patches)
-    if method == "idft":
-        grid = bin_spectrum(patches, S, pixel_extent)
-        image = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(grid.values)))
-        magnitude = np.abs(image)
-    elif method == "lstsq":
-        n = 2 * S
-        if n > 64:
-            raise ValueError("lstsq inversion is limited to grids of 64x64 pixels")
-        coords = np.concatenate(
-            [p.wavenumber_coords.reshape(-1, 2) for p in patches], axis=0
-        )
-        values = np.concatenate([p.samples.reshape(-1) for p in patches])
-        ax = (np.arange(n) - S) * dx
-        px, py = np.meshgrid(ax, ax, indexing="ij")
-        pts = np.stack([px.ravel(), py.ravel()], axis=1)
-        A = np.exp(1j * coords @ pts.T)
-        sol, *_ = np.linalg.lstsq(A, values, rcond=lstsq_rcond)
-        magnitude = np.abs(sol.reshape(n, n))
-    else:
-        raise ValueError(f"unknown procedure-1 method {method!r}")
+    grid = bin_spectrum(patches, S, pixel_extent)
+    image = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(grid.values)))
     return ReconstructedImage(
-        magnitude=magnitude,
+        magnitude=np.abs(image),
         pixel_spacing=(dx, dx),
         origin=center,
-        contributing_patches=ids,
+        contributing_patches=tuple(f"{p.tx_id}->{p.rx_id}" for p in patches),
     )
 
 
-def procedure2_steps(
-    wf, theta: float, match_sample_spacing: bool = True
-) -> tuple[float, float]:
-    """Grid steps (cycles/m) for the per-patch regular spectrum grid.
-
-    The base rule is dk1 = (df/c) cos(theta/2), dk2 = (df/c) sin(theta/2).
-    With ``match_sample_spacing`` both steps carry the bistatic factor
-    2 cos(theta/2) relationship, i.e. an extra factor 2, which makes the
-    radial step equal the measured subcarrier spacing in wavenumber and
-    lets the grid span the full measured band.
-    """
-    factor = 2.0 if match_sample_spacing else 1.0
-    dk1c = factor * wf.subcarrier_spacing / SPEED_OF_LIGHT * math.cos(theta / 2.0)
-    dk2c = factor * wf.subcarrier_spacing / SPEED_OF_LIGHT * math.sin(theta / 2.0)
-    if dk2c < 1e-15 or dk1c < 1e-15:
-        raise DegenerateStepError(
-            f"grid step underflow at angle {theta}: dk1={dk1c}, dk2={dk2c}"
-        )
-    return dk1c, dk2c
-
-
 def procedure2_per_patch(
-    patch: AlignedPatch,
-    beam_angle: float | None = None,
-    match_sample_spacing: bool = True,
-    step_mode: str = "data",
-    pad_factor: int = 1,
+    patch: AlignedPatch, pad_factor: int = 1
 ) -> ReconstructedImage:
     """Per-patch regular-grid IDFT image in the patch (range, cross) frame.
 
     The patch spectrum is rotated to its look direction, shifted so the
     sample cloud's minimum corner sits at the grid origin (a pure image
     phase ramp), interpolated bilinearly onto the (dk1, dk2) grid, and
-    inverted with an M x N_a IDFT. With ``step_mode`` "data" the grid
-    steps are read off the measured sample cloud itself (span / count in
-    each rotated axis), so the grid matches the measured lattice for any
-    geometry; "angle" applies the angle-dependent step rule instead, in
-    which ``beam_angle`` overrides the default angle (the patch's
-    bistatic angle). ``pad_factor`` zero-pads the regular grid before the
-    IDFT for sinc-interpolated sub-cell image pixels (resolution is
-    unchanged).
+    inverted with an M x N_a IDFT. The grid steps are read off the
+    measured sample cloud itself (span / count in each rotated axis), so
+    the grid matches the measured lattice for any geometry.
+    ``pad_factor`` zero-pads the regular grid before the IDFT for
+    sinc-interpolated sub-cell image pixels (resolution is unchanged).
     """
-    theta = patch.bistatic_angle if beam_angle is None else beam_angle
-    wf = patch.waveform
-    M = wf.subcarrier_count
+    M = patch.waveform.subcarrier_count
     n_ant = patch.samples.shape[0]
     if n_ant < 2:
         raise ValueError("procedure 2 needs at least two antennas")
-    if step_mode not in ("data", "angle"):
-        raise ValueError(f"unknown step_mode: {step_mode!r}")
     frame = rotated_frame(patch.direction)
 
     coords = frame.to_patch(patch.wavenumber_coords.reshape(-1, 2))
     corner = coords.min(axis=0)
     rel = coords - corner[None, :]
 
-    if step_mode == "angle":
-        dk1c, dk2c = procedure2_steps(wf, theta, match_sample_spacing)
-    else:
-        span = rel.max(axis=0)
-        dk1c = span[0] / (M - 1) / (2.0 * np.pi)
-        dk2c = span[1] / (n_ant - 1) / (2.0 * np.pi)
-        if dk1c < 1e-15 or dk2c < 1e-15:
-            raise DegenerateStepError(
-                f"measured sample cloud is degenerate: spans {span}"
-            )
+    span = rel.max(axis=0)
+    dk1c = span[0] / (M - 1) / (2.0 * np.pi)
+    dk2c = span[1] / (n_ant - 1) / (2.0 * np.pi)
+    if dk1c < 1e-15 or dk2c < 1e-15:
+        raise DegenerateStepError(
+            f"measured sample cloud is degenerate: spans {span}"
+        )
     dr1 = 1.0 / (M * dk1c)
     dr2 = 1.0 / (n_ant * dk2c)
 

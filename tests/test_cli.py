@@ -6,6 +6,7 @@ import pytest
 
 from netsar.cli import (
     build_network,
+    build_scene,
     channel_waveform,
     load_dataset,
     main,
@@ -21,7 +22,10 @@ from netsar.config import (
     ScheduleConfig,
     save_config,
 )
-from netsar.errors import MissingDatasetError, UnknownAlgorithmError
+from netsar.errors import ConfigError, MissingDatasetError, UnknownAlgorithmError
+from netsar.forward import synthesize_measurement
+from netsar.geometry import BeamSpec
+from netsar.imageio import read_table
 
 SMALL = RunConfig(
     scene=SceneConfig(extent_m=200.0, resolution_m=1.0, reflector_count=12, seed=1),
@@ -125,6 +129,40 @@ def test_load_dataset_round_trip(tmp_path):
     with pytest.raises(MissingDatasetError):
         load_dataset(SMALL, tmp_path / "nope")
 
+    # every loaded patch carries the geometry synthesis gave it, bit for bit
+    scene = build_scene(SMALL)
+    stations = {s.station_id: s for s in build_network(SMALL)}
+    header, rows = read_table(out / "patches.csv")
+    col = {name: k for k, name in enumerate(header)}
+    for loaded, row in zip(patches, rows):
+        beam = BeamSpec(
+            open_angle=math.radians(SMALL.beam.open_angle_deg),
+            tilt_angle=float(row[col["tilt"]]),
+            planar_angle=float(row[col["planar"]]),
+        )
+        made = synthesize_measurement(
+            scene,
+            stations[row[col["tx_id"]]],
+            beam,
+            stations[row[col["rx_id"]]],
+            channel_waveform(SMALL, int(row[col["channel"]])),
+        )
+        assert np.array_equal(loaded.samples, made.samples)
+        for name in ("direction", "rx_antenna_positions", "tx_position", "rx_position"):
+            assert np.array_equal(getattr(loaded, name), getattr(made, name)), name
+        for name in ("bistatic_scale", "composite_distance", "region_center", "waveform"):
+            assert getattr(loaded, name) == getattr(made, name), name
+
+
+def test_load_dataset_names_a_station_missing_from_the_config(tmp_path):
+    out = tmp_path / "run"
+    wide = dataclasses.replace(
+        SMALL, network=dataclasses.replace(SMALL.network, grid_side=3)
+    )
+    assert simulate_run(wide, out, seed=7) > 0
+    with pytest.raises(ConfigError, match=r"station bs(2\d|\d2) "):
+        load_dataset(SMALL, out)
+
 
 def test_reconstruct_intersect_writes_estimates(tmp_path):
     data = tmp_path / "data"
@@ -168,6 +206,22 @@ def test_main_scene_and_config_round_trip(tmp_path, capsys):
     assert rc == 0
     assert (out / "scene.csv").exists()
     assert "wrote scene" in capsys.readouterr().out
+
+
+def test_main_reconstruct_reads_the_dataset_config(tmp_path, capsys):
+    # SMALL differs from the default config (16 antennas, 2x2 grid): the
+    # reconstruct step must take it from the dataset's own config.txt
+    cfg_path = tmp_path / "run.cfg"
+    save_config(SMALL, cfg_path)
+    data = tmp_path / "data"
+    rec = tmp_path / "rec"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(data)]) == 0
+    assert main(["reconstruct", "--dataset", str(data), "--out", str(rec)]) == 0
+    report = (rec / "report.txt").read_text()
+    assert "algorithm = intersect" in report
+    count = len(read_table(data / "patches.csv")[1])
+    assert f"patches = {count}" in report
+    assert (rec / "estimates.csv").exists()
 
 
 def test_main_analyze_tradeoff(tmp_path, capsys):

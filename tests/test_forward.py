@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from netsar.constants import SPEED_OF_LIGHT
-from netsar.errors import EmptyFootprintError, MismatchedLayerError
-from netsar.forward import (
-    WaveformSpec,
-    patch_from_csv,
-    patch_to_csv,
-    project_layers,
-    synthesize_measurement,
-    transfer_function_estimate,
-)
+from netsar.errors import EmptyFootprintError
+from netsar.forward import WaveformSpec, synthesize_measurement
 from netsar.geometry import BaseStation, BeamSpec, EllipseFootprint, GroundPoint
 from netsar.scene import Scene
 
@@ -130,49 +123,3 @@ def test_forward_noise_deterministic_and_scaled():
     delta = noisy1.samples - clean.samples
     power = np.mean(np.abs(delta) ** 2)
     assert 0.3e-8 < power < 3e-8
-
-
-def test_transfer_function_estimate():
-    x = np.array([1.0, 1j, -1.0])
-    y = np.array([2.0, 2.0, 2.0])
-    assert np.allclose(transfer_function_estimate(x, y), y / x)
-    with pytest.raises(ZeroDivisionError, match="index 1"):
-        transfer_function_estimate(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-
-
-def test_project_layers_identity_and_tilt():
-    scene = _sparse_scene([((2.0, 3.0), 1.0 + 0.0j)])
-    tx, rx = _stations()
-    kwargs = dict(region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT)
-    patch = synthesize_measurement(scene, tx, BEAM, rx, WF, **kwargs)
-    flat = project_layers([patch], [0.0])
-    assert np.allclose(flat.ground_coords[:, :, 1], WF.wavenumbers()[None, :])
-    tilted = project_layers([patch, patch], [0.0, math.pi / 3])
-    assert tilted.samples.shape[0] == 2 * patch.antenna_count
-    upper = tilted.ground_coords[patch.antenna_count :, :, 1]
-    assert np.allclose(upper, WF.wavenumbers()[None, :] * 0.5)
-
-
-def test_project_layers_mismatch_raises():
-    scene = _sparse_scene([((0.0, 0.0), 1.0 + 0.0j)])
-    tx, rx = _stations()
-    kwargs = dict(region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT)
-    patch = synthesize_measurement(scene, tx, BEAM, rx, WF, **kwargs)
-    with pytest.raises(MismatchedLayerError):
-        project_layers([patch], [0.0, 0.1])
-
-
-def test_patch_csv_round_trip(tmp_path):
-    scene = _sparse_scene([((4.0, -1.0), 0.5 + 0.25j)])
-    tx, rx = _stations()
-    patch = synthesize_measurement(
-        scene, tx, BEAM, rx, WF, region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT
-    )
-    path = tmp_path / "patch.csv"
-    patch_to_csv(patch, path)
-    back = patch_from_csv(path)
-    assert np.array_equal(back.samples, patch.samples)
-    assert back.tx_id == patch.tx_id and back.rx_id == patch.rx_id
-    assert np.array_equal(back.rx_antenna_positions, patch.rx_antenna_positions)
-    assert back.waveform == patch.waveform
-    assert np.array_equal(back.direction, patch.direction)

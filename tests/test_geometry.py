@@ -12,7 +12,6 @@ from netsar.geometry import (
     beam_footprint,
     bistatic_direction,
     bistatic_factor,
-    bistatic_range,
     bistatic_sum,
     point_in_footprint,
     points_in_footprint,
@@ -64,19 +63,6 @@ def test_bistatic_factor_bounds():
     rx = GroundPoint(490.0, -3.0, 40.0)
     b = bistatic_factor(tx, rx)
     assert 0.0 < b <= 2.0
-
-
-def test_bistatic_range_matches_brute_force():
-    tx = GroundPoint(400.0, 100.0, 50.0)
-    rx = GroundPoint(-200.0, 300.0, 40.0)
-    p = GroundPoint(3.0, -4.0)
-    exact, approx = bistatic_range(tx, rx, p)
-    brute = np.linalg.norm(tx.as_array() - p.as_array()) + np.linalg.norm(
-        rx.as_array() - p.as_array()
-    )
-    assert math.isclose(exact, brute, rel_tol=1e-12)
-    # far-field linearization: residual bounded by |p|^2 / (2 min range)
-    assert abs(exact - approx) < 25.0 / (2 * 350.0)
 
 
 def test_beam_spec_validates_cone_edge():

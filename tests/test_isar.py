@@ -10,7 +10,6 @@ from netsar.isar import (
     build_sensing_tensor,
     invert_sensing_tensor,
     pseudo_inverse,
-    samples_from_network,
     voxel_grid_slices_to_pgm,
     voxel_grid_to_csv,
 )
@@ -80,7 +79,12 @@ def test_rank_deficient_warns_minimum_norm():
     grid = VoxelGrid(M_side=3, spacing=0.4)
     # a single linear array samples only one k-plane: rank < 27
     antennas = np.stack([np.linspace(-1, 1, 8), np.zeros(8), np.full(8, 50.0)], axis=1)
-    samples = samples_from_network(antennas, np.linspace(5e9, 5.1e9, 6), np.zeros(3))
+    units = antennas / np.linalg.norm(antennas, axis=1)[:, None]
+    samples = [
+        WavenumberSample(k_vector=2 * np.pi * f / SPEED_OF_LIGHT * u)
+        for u in units
+        for f in np.linspace(5e9, 5.1e9, 6)
+    ]
     A = build_sensing_tensor(samples, grid)
     meas = np.zeros(len(samples), complex)
     with pytest.warns(UserWarning, match="rank"):
@@ -97,20 +101,6 @@ def test_pseudo_inverse_properties():
     assert np.abs(A @ G @ A - A).max() < 1e-10
     assert np.abs(G @ A @ G - G).max() < 1e-10
     assert np.abs(G @ A - (G @ A).conj().T).max() < 1e-10
-
-
-def test_samples_from_network_geometry():
-    antennas = np.array([[0.0, 0.0, 100.0], [30.0, 40.0, 0.0]])
-    freqs = np.array([1e9, 2e9])
-    samples = samples_from_network(antennas, freqs, np.zeros(3))
-    assert len(samples) == 4
-    k0 = samples[0].k_vector
-    assert np.allclose(k0, [0.0, 0.0, 2 * np.pi * 1e9 / SPEED_OF_LIGHT])
-    k3 = samples[3].k_vector
-    u = np.array([0.6, 0.8, 0.0])
-    assert np.allclose(k3, 2 * np.pi * 2e9 / SPEED_OF_LIGHT * u)
-    with pytest.raises(ValueError):
-        samples_from_network(np.zeros((1, 3)), freqs, np.zeros(3))
 
 
 def test_build_tensor_requires_samples():

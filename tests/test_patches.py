@@ -9,10 +9,8 @@ from netsar.patches import (
     align_and_place,
     align_distance,
     align_orientation,
-    aligned_patch_to_csv,
     misalignment_angle,
     place_in_spectrum,
-    recenter,
 )
 from netsar.scene import Scene
 
@@ -121,17 +119,6 @@ def test_place_in_spectrum_coordinates():
     )
     b = np.linalg.norm((u_tx + u_rx)[:2])
     assert math.isclose(step, 2 * math.pi * 2e6 / 299792458.0 * b, rel_tol=1e-9)
-    assert 0.0 < aligned.bistatic_angle < math.pi
-
-
-def test_recenter_zeroes_center_and_shifts_coords():
-    aligned = place_in_spectrum(_patch(n_ant=4))
-    centered = recenter(aligned)
-    assert np.allclose(centered.spectrum_center, 0.0)
-    assert np.allclose(
-        centered.wavenumber_coords + aligned.spectrum_center[None, None, :],
-        aligned.wavenumber_coords,
-    )
 
 
 def test_align_and_place_phase_matches_far_field_model():
@@ -163,14 +150,3 @@ def test_align_and_place_phase_matches_far_field_model():
         exact = np.exp(1j * k * (d_tx0 + d_rx0 - d1 - d2))
         exact_err.append(np.angle(observed[l] * np.conj(exact)))
     assert np.abs(np.array(exact_err)).max() < 1e-9
-
-
-def test_aligned_patch_csv_has_coordinates(tmp_path):
-    aligned = place_in_spectrum(_patch(n_ant=2))
-    path = tmp_path / "aligned.csv"
-    aligned_patch_to_csv(aligned, path)
-    lines = path.read_text().strip().splitlines()
-    header = [ln for ln in lines if ln.startswith("antenna_index")][0]
-    assert header.split(",") == ["antenna_index", "subcarrier_index", "re", "im", "k_x", "k_y"]
-    data = [ln for ln in lines if not ln.startswith("#") and not ln.startswith("antenna")]
-    assert len(data) == aligned.samples.size

@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from netsar.constants import SPEED_OF_LIGHT
-from netsar.errors import DegenerateStepError, EmptyInputError, IndexOverflowError
+from netsar.errors import EmptyInputError, IndexOverflowError
 from netsar.forward import WaveformSpec, synthesize_measurement
 from netsar.geometry import BaseStation, BeamSpec, EllipseFootprint, GroundPoint
-from netsar.patches import align_and_place, recenter
+from netsar.patches import align_and_place
 from netsar.reconstruct import (
     ReconstructedImage,
     ReflectorEstimate,
@@ -18,7 +19,6 @@ from netsar.reconstruct import (
     intersect_lines,
     procedure1_invert,
     procedure2_per_patch,
-    procedure2_steps,
     range_profiles,
 )
 from netsar.scene import Scene
@@ -73,7 +73,10 @@ def test_bin_spectrum_overflow_named():
 
 
 def test_bin_spectrum_averages_collisions():
-    aligned = recenter(_aligned((0.125, 0.125), (400.0, 0.0), (380.0, 50.0), n_ant=4))
+    aligned = _aligned((0.125, 0.125), (400.0, 0.0), (380.0, 50.0), n_ant=4)
+    # shift the spectrum origin to the sample cloud so it fits the grid
+    coords = aligned.wavenumber_coords
+    aligned = dataclasses.replace(aligned, wavenumber_coords=coords - coords.mean(axis=(0, 1)))
     grid = bin_spectrum([aligned, aligned], 512, 400.0)
     single = bin_spectrum([aligned], 512, 400.0)
     assert np.allclose(grid.values, single.values)
@@ -97,25 +100,6 @@ def test_procedure1_peak_near_scatterer():
     assert np.linalg.norm(pos - np.array(p)) < 0.6
 
 
-def test_procedure1_lstsq_small_grid_matches_point():
-    p = (0.125, -0.375)
-    patches = [
-        _aligned(p, (400.0, 0.0), (380.0, 60.0), n_ant=16),
-        _aligned(p, (0.0, 400.0), (60.0, 380.0), n_ant=16),
-    ]
-    # pixels must sample the carrier fringe (dx < pi / k_max) and stay
-    # overdetermined: (2S)^2 pixels < 2 * 16 * 64 samples
-    k_max = max(np.abs(q.wavenumber_coords).max() for q in patches)
-    S = 16
-    pixel_extent = 0.9 * 2 * S * np.pi / k_max
-    img = procedure1_invert(patches, S, pixel_extent, method="lstsq")
-    pos = image_peak(img)
-    # error bounded by the diffraction resolution c/(2W)
-    assert np.linalg.norm(pos - np.array(p)) < 0.6
-    with pytest.raises(ValueError):
-        procedure1_invert(patches, 64, 64.0, method="lstsq")
-
-
 def test_procedure1_rejects_mixed_centers():
     a = _aligned((0.125, 0.125), (400.0, 0.0), (380.0, 60.0), n_ant=4)
     b = _aligned((0.125, 0.125), (0.0, 400.0), (60.0, 380.0), n_ant=4)
@@ -124,17 +108,6 @@ def test_procedure1_rejects_mixed_centers():
     shifted = replace(b, region_center=GroundPoint(5.0, 0.0))
     with pytest.raises(ValueError):
         procedure1_invert([a, shifted], 8, 16.0)
-
-
-def test_procedure2_steps_rule_and_degeneracy():
-    dk1, dk2 = procedure2_steps(WF, math.radians(60), match_sample_spacing=False)
-    df_c = 2e6 / SPEED_OF_LIGHT
-    assert math.isclose(dk1, df_c * math.cos(math.radians(30)))
-    assert math.isclose(dk2, df_c * math.sin(math.radians(30)))
-    d1m, d2m = procedure2_steps(WF, math.radians(60), match_sample_spacing=True)
-    assert math.isclose(d1m, 2 * dk1) and math.isclose(d2m, 2 * dk2)
-    with pytest.raises(DegenerateStepError):
-        procedure2_steps(WF, 0.0)
 
 
 def test_procedure2_image_peak_and_range_resolution():

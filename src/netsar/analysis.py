@@ -89,7 +89,6 @@ class OneDimModel:
     image: np.ndarray
     window_width: int
     window_centers: tuple[float, ...]
-    seed: int = 0
 
     def __post_init__(self):
         img = np.asarray(self.image, dtype=complex)

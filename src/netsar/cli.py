@@ -18,6 +18,7 @@ import hashlib
 import math
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .analysis import (
     resolutions,
     statistics_to_csv,
 )
-from .config import RunConfig, load_config, serialize_config
+from .config import RunConfig, load_config, save_config, serialize_config
 from .constants import SPEED_OF_LIGHT
 from .errors import (
     ConfigError,
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .forward import WaveformSpec, measurement_patch, synthesize_measurement
 from .geometry import BaseStation, BeamSpec, GroundPoint, beam_footprint
-from .imageio import write_pgm, write_table
+from .imageio import read_table, write_pgm, write_table
 from .isar import (
     VoxelGrid,
     WavenumberSample,
@@ -58,7 +59,7 @@ from .reconstruct import (
     procedure2_per_patch,
     range_profiles,
 )
-from .scene import Scene, random_reflector_scene, scene_from_csv, scene_to_csv, scene_to_pgm
+from .scene import Scene, random_reflector_scene, scene_from_csv, scene_to_csv
 from .tradeoff import (
     channel_from_csv,
     example_channel,
@@ -151,6 +152,11 @@ def write_manifest(out: Path, cfg: RunConfig, seed: int, extra_lines: list[str])
 
 # --------------------------------------------------------------- simulate
 
+PATCH_COLUMNS = [
+    "index", "slot", "channel", "tx_id", "rx_id", "carrier_hz",
+    "center_x", "center_y", "tilt", "planar",
+]
+
 
 def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     """Slotted measurement loop; returns the recorded patch count.
@@ -160,8 +166,8 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     random ground point within the aim radius of its own base. Every
     other station not transmitting on that channel and within the
     maximum receive distance of the footprint records a patch. Patches
-    whose footprint contains no nonzero scene pixel are skipped and
-    annotated rather than stored.
+    whose footprint contains no nonzero scene pixel are skipped; the
+    manifest counts the skips by reason.
     """
     out.mkdir(parents=True, exist_ok=True)
     scene = build_scene(cfg)
@@ -172,9 +178,9 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     root = np.random.SeedSequence(seed)
     slot_seeds = root.spawn(sch.slot_count)
 
-    records: list[dict] = []
+    rows: list[list] = []
     sample_blocks: list[np.ndarray] = []
-    skips: list[str] = []
+    skipped: Counter[str] = Counter()
     for slot in range(sch.slot_count):
         rng = np.random.default_rng(slot_seeds[slot])
         transmits = rng.random(len(stations)) < sch.transmit_probability
@@ -193,8 +199,8 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
                     open_angle=open_angle, tilt_angle=tilt, planar_angle=azimuth
                 )
                 footprint = beam_footprint(tx, beam)
-            except InvalidBeamError as exc:
-                skips.append(f"skip.slot{slot}.{tx.station_id} = beam: {exc}")
+            except InvalidBeamError:
+                skipped["invalid_beam"] += 1
                 continue
             ch = int(channels[ti])
             wf = channel_waveform(cfg, ch)
@@ -209,43 +215,28 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
                 if dist > sch.max_receive_distance_m:
                     continue
                 try:
-                    patch = synthesize_measurement(scene, tx, beam, rx, wf)
-                except EmptyFootprintError:
-                    skips.append(
-                        f"skip.slot{slot}.{tx.station_id}->{rx.station_id} = outside scene"
+                    patch = synthesize_measurement(
+                        scene, tx, beam, rx, wf, footprint=footprint
                     )
+                except EmptyFootprintError:
+                    skipped["outside_scene"] += 1
                     continue
                 if not np.any(patch.samples):
-                    skips.append(
-                        f"skip.slot{slot}.{tx.station_id}->{rx.station_id} = dark footprint"
-                    )
+                    skipped["dark_footprint"] += 1
                     continue
-                records.append(
-                    {
-                        "index": len(records),
-                        "slot": slot,
-                        "channel": ch,
-                        "tx_id": tx.station_id,
-                        "rx_id": rx.station_id,
-                        "carrier_hz": wf.carrier_frequency,
-                        "center_x": footprint.center.x,
-                        "center_y": footprint.center.y,
-                        "tilt": tilt,
-                        "planar": azimuth,
-                    }
+                rows.append(
+                    [
+                        len(rows), slot, ch, tx.station_id, rx.station_id,
+                        wf.carrier_frequency, footprint.center.x, footprint.center.y,
+                        tilt, azimuth,
+                    ]
                 )
                 sample_blocks.append(patch.samples)
 
     scene_to_csv(scene, out / "scene.csv")
-    scene_to_pgm(scene, out / "scene.pgm")
-    (out / "config.txt").write_text(serialize_config(cfg))
-    header = list(records[0].keys()) if records else [
-        "index", "slot", "channel", "tx_id", "rx_id", "carrier_hz",
-        "center_x", "center_y", "tilt", "planar",
-    ]
-    write_table(
-        out / "patches.csv", header, [[r[k] for k in header] for r in records]
-    )
+    write_pgm(np.abs(scene.reflectivity), out / "scene.pgm")
+    save_config(cfg, out / "config.txt")
+    write_table(out / "patches.csv", PATCH_COLUMNS, rows)
     stacked = (
         np.stack(sample_blocks)
         if sample_blocks
@@ -253,18 +244,10 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     )
     np.save(out / "samples.npy", stacked)
 
-    extra = [f"patch_count = {len(records)}"]
-    for r in records:
-        i = r["index"]
-        extra.append(
-            f"patch.{i} = slot={r['slot']} channel={r['channel']} "
-            f"tx={r['tx_id']} rx={r['rx_id']} carrier={r['carrier_hz']!r} "
-            f"center=({r['center_x']!r},{r['center_y']!r}) "
-            f"tilt={r['tilt']!r} planar={r['planar']!r}"
-        )
-    extra.extend(skips)
+    extra = [f"patch_count = {len(rows)}"]
+    extra += [f"skipped.{reason} = {n}" for reason, n in sorted(skipped.items())]
     write_manifest(out, cfg, seed, extra)
-    return len(records)
+    return len(rows)
 
 
 # ------------------------------------------------------------ dataset I/O
@@ -276,8 +259,6 @@ def load_dataset(cfg: RunConfig, dataset: Path):
     samples_file = dataset / "samples.npy"
     if not index.exists() or not samples_file.exists():
         raise MissingDatasetError(f"no dataset at {dataset}")
-    from .imageio import read_table
-
     header, rows = read_table(index)
     stacked = np.load(samples_file)
     if not rows or stacked.shape[0] == 0:
@@ -334,8 +315,27 @@ def _largest_center_group(patches):
     return max(groups.values(), key=len)
 
 
+def _check_dataset_config(cfg: RunConfig, dataset: Path) -> None:
+    """Reject a config whose simulation sections differ from the dataset's."""
+    recorded = dataset / "config.txt"
+    if not recorded.is_file():
+        raise MissingDatasetError(f"dataset at {dataset} has no config.txt")
+    pairs = zip(
+        serialize_config(cfg).splitlines(),
+        serialize_config(load_config(recorded)).splitlines(),
+    )
+    for given, simulated in pairs:
+        if given != simulated and not given.startswith(("reconstruction.", "output_dir")):
+            raise ConfigError(f"{given} conflicts with the dataset's {simulated}")
+
+
 def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None:
-    """Dispatch the configured algorithm over a dataset and write artifacts."""
+    """Dispatch the configured algorithm over a dataset and write artifacts.
+
+    The config's simulation sections must equal the dataset's config.txt;
+    only the reconstruction section and output_dir may differ.
+    """
+    _check_dataset_config(cfg, dataset)
     out.mkdir(parents=True, exist_ok=True)
     raw = load_dataset(cfg, dataset)
     rcfg = cfg.reconstruction
@@ -542,7 +542,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         scene = build_scene(cfg)
         scene_to_csv(scene, out / "scene.csv")
-        scene_to_pgm(scene, out / "scene.pgm")
+        write_pgm(np.abs(scene.reflectivity), out / "scene.pgm")
         write_manifest(out, cfg, seed, ["scene_only = 1"])
         print(f"wrote scene to {out}")
     return 0

@@ -148,6 +148,10 @@ _SECTIONS = {
 }
 
 
+# field annotations are strings under postponed evaluation
+_TYPES = {"int": int, "float": float, "str": str}
+
+
 def _coerce(raw: str, target_type, name: str):
     try:
         if target_type is int:
@@ -180,21 +184,14 @@ def parse_config(text: str) -> RunConfig:
         section, name = key.split(".", 1)
         if section not in _SECTIONS:
             raise ConfigError(f"line {lineno}: unknown section {section!r}")
-        cls = _SECTIONS[section]
-        by_name = {f.name: f for f in fields(cls)}
-        if name not in by_name:
+        hints = {f.name: f.type for f in fields(_SECTIONS[section])}
+        if name not in hints:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[section][name] = _coerce(raw, by_name[name].type_resolved
-                                        if hasattr(by_name[name], "type_resolved")
-                                        else _field_type(cls, name), key)
+        hint = hints[name]
+        values[section][name] = _coerce(raw, _TYPES.get(hint, hint), key)
     kwargs = {sect: cls(**values[sect]) for sect, cls in _SECTIONS.items()}
     kwargs.update(top)
     return RunConfig(**kwargs)
-
-
-def _field_type(cls, name: str):
-    hint = {f.name: f.type for f in fields(cls)}[name]
-    return {"int": int, "float": float, "str": str}.get(hint, hint)
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -39,17 +39,18 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_table(path, header: list[str], rows) -> None:
-    """RFC-4180-style CSV with a header row; floats written via repr."""
+    """RFC-4180-style CSV with a header row; floats, numpy's too, via repr(float)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow(
-                [repr(v) if isinstance(v, float) else v for v in row]
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
             )
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a CSV table, every field as text."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

@@ -9,13 +9,13 @@ is capped at M_side <= 16 and everything is dense.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInputError
+from .imageio import write_pgm, write_table
 
 
 @dataclass(frozen=True)
@@ -137,21 +137,14 @@ def voxel_grid_to_csv(grid: VoxelGrid, path) -> None:
     """One row per voxel: l, m, n, re, im (0-based indices)."""
     if grid.values is None:
         raise ValueError("grid has no values to export")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "m", "n", "re", "im"])
-        for l in range(grid.M_side):
-            for m in range(grid.M_side):
-                for n in range(grid.M_side):
-                    v = grid.values[l, m, n]
-                    writer.writerow([l, m, n, repr(float(v.real)), repr(float(v.imag))])
+    values = grid.values.reshape(-1)
+    columns = (*np.indices(grid.shape).reshape(3, -1), values.real, values.imag)
+    write_table(path, ["l", "m", "n", "re", "im"], zip(*(c.tolist() for c in columns)))
 
 
 def voxel_grid_slices_to_pgm(grid: VoxelGrid, directory, stem: str = "slice") -> list:
     """Per-z-slice magnitude images, one PGM per n index; returns the paths."""
     from pathlib import Path
-
-    from .imageio import write_pgm
 
     if grid.values is None:
         raise ValueError("grid has no values to export")

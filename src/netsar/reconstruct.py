@@ -60,12 +60,6 @@ class ReconstructedImage:
         if min(self.pixel_spacing) <= 0:
             raise ValueError("pixel spacing must be positive")
 
-    def pixel_offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        nx, ny = self.magnitude.shape
-        a = (np.arange(nx) - nx // 2) * self.pixel_spacing[0]
-        b = (np.arange(ny) - ny // 2) * self.pixel_spacing[1]
-        return a, b
-
     def ground_position(self, a, b) -> np.ndarray:
         """Ground (x, y) of fractional pixel indices (a, b)."""
         nx, ny = self.magnitude.shape

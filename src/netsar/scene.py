@@ -9,13 +9,13 @@ phase per pixel.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import GroundPoint
+from .imageio import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class Scene:
     resolution: float
     reflectivity: np.ndarray
     height: np.ndarray | None = None
-    rng_seed: int = 0
     reflectors: tuple[ReflectorSpec, ...] = ()
 
     def __post_init__(self):
@@ -72,7 +71,7 @@ class Scene:
         return xs, ys
 
 
-def _rasterize(scene_shape, xs, ys, reflectors):
+def _rasterize(xs, ys, reflectors):
     """Boolean membership mask per reflector: pixel center inside the square."""
     masks = []
     for ref in reflectors:
@@ -115,7 +114,7 @@ def random_reflector_scene(
     xs = (np.arange(nx) + 0.5) * resolution - extent[0] / 2.0
     ys = (np.arange(ny) + 0.5) * resolution - extent[1] / 2.0
     mag = np.zeros((nx, ny))
-    for mask in _rasterize((nx, ny), xs, ys, reflectors):
+    for mask in _rasterize(xs, ys, reflectors):
         mag = np.maximum(mag, np.where(mask, magnitude, 0.0))
     phase = np.zeros((nx, ny))
     nonzero = mag > 0
@@ -125,7 +124,6 @@ def random_reflector_scene(
         extent=extent,
         resolution=resolution,
         reflectivity=reflectivity,
-        rng_seed=seed,
         reflectors=reflectors,
     )
 
@@ -138,49 +136,35 @@ def set_height_profile(scene: Scene, reflectors: list[ReflectorSpec]) -> Scene:
     """
     xs, ys = scene.pixel_centers()
     height = np.zeros(scene.shape)
-    for ref, mask in zip(reflectors, _rasterize(scene.shape, xs, ys, reflectors)):
+    for ref, mask in zip(reflectors, _rasterize(xs, ys, reflectors)):
         height = np.maximum(height, np.where(mask, ref.height, 0.0))
     return replace(scene, height=height)
 
 
+SCENE_COLUMNS = ["x_index", "y_index", "re", "im", "height"]
+
+
 def scene_to_csv(scene: Scene, path) -> None:
-    """One row per pixel: x_index, y_index, re, im, height."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_index", "y_index", "re", "im", "height"])
-        nx, ny = scene.shape
-        for ix in range(nx):
-            for iy in range(ny):
-                v = scene.reflectivity[ix, iy]
-                h = 0.0 if scene.height is None else scene.height[ix, iy]
-                writer.writerow([ix, iy, repr(float(v.real)), repr(float(v.imag)), repr(float(h))])
+    """One row per pixel whose reflectivity or height is nonzero."""
+    height = np.zeros(scene.shape) if scene.height is None else scene.height
+    ix, iy = np.nonzero((scene.reflectivity != 0) | (height != 0))
+    values = scene.reflectivity[ix, iy]
+    columns = (ix, iy, values.real, values.imag, height[ix, iy])
+    write_table(path, SCENE_COLUMNS, zip(*(c.tolist() for c in columns)))
 
 
 def scene_from_csv(path, extent: tuple[float, float], resolution: float) -> Scene:
+    """Scene from :func:`scene_to_csv` rows; pixels absent from the file are zero."""
     nx = math.ceil(extent[0] / resolution)
     ny = math.ceil(extent[1] / resolution)
     reflectivity = np.zeros((nx, ny), dtype=complex)
     height = np.zeros((nx, ny))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            ix, iy = int(row[0]), int(row[1])
-            reflectivity[ix, iy] = float(row[2]) + 1j * float(row[3])
-            height[ix, iy] = float(row[4])
+    for row in read_table(path)[1]:
+        ix, iy = int(row[0]), int(row[1])
+        reflectivity[ix, iy] = float(row[2]) + 1j * float(row[3])
+        height[ix, iy] = float(row[4])
     if not np.any(height):
         height = None
     return Scene(
         extent=extent, resolution=resolution, reflectivity=reflectivity, height=height
     )
-
-
-def scene_to_pgm(scene: Scene, path) -> None:
-    """Binary PGM (P5) preview of the reflectivity magnitude.
-
-    Maximum magnitude maps to 255. The image is written with y as rows
-    (top row = largest y) so the preview matches a map view.
-    """
-    from .imageio import write_pgm
-
-    write_pgm(np.abs(scene.reflectivity), path)

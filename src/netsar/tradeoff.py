@@ -9,13 +9,13 @@ only through the closed-form sum bound.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidDistributionError
+from .imageio import read_table, write_table
 
 _SUM_TOL = 1e-12
 _ZERO = 1e-15
@@ -126,35 +126,29 @@ def example_channel() -> JointChannel:
 
 def channel_to_csv(ch: JointChannel, path) -> None:
     """Sectioned CSV: p_x rows, p_s rows, then one kernel row per (x, s)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["section", "index", "values"])
-        writer.writerow(["p_x", "", *[repr(float(v)) for v in ch.p_x]])
-        writer.writerow(["p_s", "", *[repr(float(v)) for v in ch.p_s]])
-        for x in range(ch.p_x.size):
-            for s in range(ch.p_s.size):
-                writer.writerow(
-                    [f"kernel", f"{x},{s}", *[repr(float(v)) for v in ch.kernel[x, s]]]
-                )
+    rows = [["p_x", "", *ch.p_x], ["p_s", "", *ch.p_s]]
+    rows += [
+        ["kernel", f"{x},{s}", *ch.kernel[x, s]]
+        for x in range(ch.p_x.size)
+        for s in range(ch.p_s.size)
+    ]
+    write_table(path, ["section", "index", "values"], rows)
 
 
 def channel_from_csv(path) -> JointChannel:
     p_x = p_s = None
     kernel_rows: dict[tuple[int, int], np.ndarray] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            section, index, values = row[0], row[1], np.array(row[2:], dtype=float)
-            if section == "p_x":
-                p_x = values
-            elif section == "p_s":
-                p_s = values
-            elif section == "kernel":
-                x, s = (int(v) for v in index.split(","))
-                kernel_rows[(x, s)] = values
-            else:
-                raise InvalidDistributionError(f"unknown section {section!r}")
+    for row in read_table(path)[1]:
+        section, index, values = row[0], row[1], np.array(row[2:], dtype=float)
+        if section == "p_x":
+            p_x = values
+        elif section == "p_s":
+            p_s = values
+        elif section == "kernel":
+            x, s = (int(v) for v in index.split(","))
+            kernel_rows[(x, s)] = values
+        else:
+            raise InvalidDistributionError(f"unknown section {section!r}")
     if p_x is None or p_s is None or not kernel_rows:
         raise InvalidDistributionError("channel file is missing a section")
     n_y = next(iter(kernel_rows.values())).size

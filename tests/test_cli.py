@@ -79,6 +79,11 @@ def test_simulate_writes_dataset_and_manifest(tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert f"patch_count = {count}" in manifest
     assert "checksum.samples.npy" in manifest
+    # skips are counted by reason; patches.csv alone lists the patches
+    lines = manifest.splitlines()
+    assert not [line for line in lines if line.startswith(("skip.", "patch."))]
+    skipped = [line.split(" = ") for line in lines if line.startswith("skipped.")]
+    assert skipped and all(value.isdigit() for _, value in skipped)
 
 
 def test_simulate_deterministic(tmp_path):
@@ -196,6 +201,31 @@ def test_reconstruct_3d_with_planes(tmp_path):
     reconstruct_run(cfg, data, out, seed=7)
     assert (out / "height.csv").exists()
     assert (out / "height.pgm").exists()
+
+
+@pytest.mark.parametrize(
+    "section, change",
+    [("network", {"antenna_count": 8}), ("network", {"grid_spacing_m": 200.0})],
+)
+def test_reconstruct_rejects_a_config_that_conflicts_with_the_dataset(
+    tmp_path, section, change
+):
+    data = tmp_path / "data"
+    simulate_run(SMALL, data, seed=7)
+    cfg = dataclasses.replace(
+        SMALL, **{section: dataclasses.replace(getattr(SMALL, section), **change)}
+    )
+    (key,) = change
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} = .* conflicts"):
+        reconstruct_run(cfg, data, tmp_path / "rec", seed=7)
+
+
+def test_reconstruct_needs_the_dataset_config(tmp_path):
+    data = tmp_path / "data"
+    simulate_run(SMALL, data, seed=7)
+    (data / "config.txt").unlink()
+    with pytest.raises(MissingDatasetError, match="config.txt"):
+        reconstruct_run(SMALL, data, tmp_path / "rec", seed=7)
 
 
 def test_main_scene_and_config_round_trip(tmp_path, capsys):

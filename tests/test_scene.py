@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from netsar.geometry import GroundPoint
+from netsar.imageio import read_table, write_pgm
 from netsar.scene import (
     ReflectorSpec,
     Scene,
     random_reflector_scene,
     scene_from_csv,
     scene_to_csv,
-    scene_to_pgm,
     set_height_profile,
 )
 
@@ -75,22 +75,26 @@ def test_height_profile_max_rule():
 
 
 def test_csv_round_trip(tmp_path):
-    scene = random_reflector_scene((12.0, 12.0), 2, 3.0, seed=9)
-    scene = set_height_profile(
-        scene,
-        [ReflectorSpec(center=r.center, side=r.side, height=2.5) for r in scene.reflectors],
-    )
-    path = tmp_path / "scene.csv"
-    scene_to_csv(scene, path)
-    back = scene_from_csv(path, (12.0, 12.0), 1.0)
-    assert np.array_equal(back.reflectivity, scene.reflectivity)
-    assert np.array_equal(back.height, scene.height)
+    # magnitude 0 leaves only the heights nonzero: they must still be written
+    for magnitude in (1.0, 0.0):
+        scene = random_reflector_scene((12.0, 12.0), 2, 3.0, seed=9, magnitude=magnitude)
+        scene = set_height_profile(
+            scene,
+            [ReflectorSpec(center=r.center, side=r.side, height=2.5) for r in scene.reflectors],
+        )
+        path = tmp_path / "scene.csv"
+        scene_to_csv(scene, path)
+        lit = (scene.reflectivity != 0) | (scene.height != 0)
+        assert len(read_table(path)[1]) == np.count_nonzero(lit) > 0
+        back = scene_from_csv(path, (12.0, 12.0), 1.0)
+        assert np.array_equal(back.reflectivity, scene.reflectivity)
+        assert np.array_equal(back.height, scene.height)
 
 
 def test_pgm_preview_written(tmp_path):
     scene = random_reflector_scene((16.0, 16.0), 1, 4.0, seed=5)
     path = tmp_path / "scene.pgm"
-    scene_to_pgm(scene, path)
+    write_pgm(np.abs(scene.reflectivity), path)
     data = path.read_bytes()
     assert data.startswith(b"P5\n16 16\n255\n")
     assert max(data[-256:]) == 255

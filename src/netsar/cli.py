@@ -34,12 +34,13 @@ from .config import RunConfig, load_config, save_config, serialize_config
 from .constants import SPEED_OF_LIGHT
 from .errors import (
     ConfigError,
+    CorruptDatasetError,
     EmptyFootprintError,
     InvalidBeamError,
     MissingDatasetError,
     UnknownAlgorithmError,
 )
-from .forward import WaveformSpec, measurement_patch, synthesize_measurement
+from .forward import MeasurementPatch, WaveformSpec, synthesize_measurement
 from .geometry import BaseStation, BeamSpec, GroundPoint, beam_footprint
 from .imageio import read_table, write_pgm, write_table
 from .isar import (
@@ -254,15 +255,29 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
 
 
 def load_dataset(cfg: RunConfig, dataset: Path):
-    """Rebuild MeasurementPatch objects from a simulate_run dataset."""
-    index = dataset / "patches.csv"
-    samples_file = dataset / "samples.npy"
-    if not index.exists() or not samples_file.exists():
-        raise MissingDatasetError(f"no dataset at {dataset}")
-    header, rows = read_table(index)
-    stacked = np.load(samples_file)
-    if not rows or stacked.shape[0] == 0:
+    """Rebuild MeasurementPatch objects from a simulate_run dataset.
+
+    Raises CorruptDatasetError when samples.npy cannot be read or does
+    not hold one finite (antenna, subcarrier) grid per patches.csv row.
+    """
+    for name in ("patches.csv", "samples.npy", "manifest.txt"):
+        if not (dataset / name).is_file():
+            raise MissingDatasetError(f"no {name} in dataset {dataset}")
+    header, rows = read_table(dataset / "patches.csv")
+    try:
+        stacked = np.load(dataset / "samples.npy")
+    except ValueError as exc:  # a truncated or garbled .npy file
+        raise CorruptDatasetError(f"samples.npy in {dataset}: {exc}") from None
+    if not rows:
         raise MissingDatasetError(f"dataset at {dataset} contains no patches")
+    expected = (len(rows), cfg.network.antenna_count, cfg.waveform.subcarrier_count)
+    if stacked.shape != expected:
+        raise CorruptDatasetError(
+            f"samples.npy has shape {stacked.shape}; patches.csv and the "
+            f"config call for {expected}"
+        )
+    if not np.isfinite(stacked).all():
+        raise CorruptDatasetError(f"samples.npy in {dataset} holds non-finite samples")
     stations = {s.station_id: s for s in build_network(cfg)}
     col = {name: k for k, name in enumerate(header)}
     patches = []
@@ -278,7 +293,7 @@ def load_dataset(cfg: RunConfig, dataset: Path):
             float(row[col["center_x"]]), float(row[col["center_y"]])
         )
         patches.append(
-            measurement_patch(
+            MeasurementPatch(
                 stacked[int(row[col["index"]])],
                 tx,
                 rx,
@@ -442,7 +457,9 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         raise UnknownAlgorithmError(f"unknown algorithm {algorithm!r}")
 
     (out / "report.txt").write_text("\n".join(report) + "\n")
-    write_manifest(out, cfg, seed, [f"dataset = {dataset}"])
+    write_manifest(
+        out, cfg, seed, [f"dataset_manifest = {_sha256(dataset / 'manifest.txt')}"]
+    )
 
 
 # ---------------------------------------------------------------- analyze

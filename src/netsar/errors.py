@@ -41,5 +41,9 @@ class MissingDatasetError(NetsarError):
     """A reconstruction was requested on an absent or empty dataset."""
 
 
+class CorruptDatasetError(NetsarError):
+    """A dataset's samples disagree with its patch index or are not finite."""
+
+
 class UnknownAlgorithmError(NetsarError):
     """The requested reconstruction algorithm selector is not recognized."""

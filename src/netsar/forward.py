@@ -9,7 +9,7 @@ the forward model stays independent of the reconstruction chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,72 +56,28 @@ class WaveformSpec:
 
 @dataclass(frozen=True)
 class MeasurementPatch:
-    """Per-(antenna, subcarrier) complex samples plus bistatic metadata.
+    """Per-(antenna, subcarrier) complex samples rx recorded from tx's beam.
 
     ``samples[l, m]`` is the transfer-function sample at antenna l,
-    subcarrier m. Geometry metadata carries everything alignment and
-    spectrum placement need: station positions, the receive-array
-    snapshot, the composite look direction at the region center, and the
-    composite distance.
+    subcarrier m. The stations carry the geometry alignment needs; the
+    composite look direction and bistatic scale are taken once, at the
+    region center, when the patch is built.
     """
 
     samples: np.ndarray
-    tx_id: str
-    rx_id: str
-    direction: np.ndarray
-    bistatic_scale: float
-    composite_distance: float
-    region_center: GroundPoint
+    tx: BaseStation
+    rx: BaseStation
     waveform: WaveformSpec
-    rx_antenna_positions: np.ndarray
-    rx_antenna_spacing: float
-    rx_array_orientation: float
-    tx_position: np.ndarray
-    rx_position: np.ndarray
+    region_center: GroundPoint
+    direction: np.ndarray = field(init=False)
+    bistatic_scale: float = field(init=False)
 
     def __post_init__(self):
-        n_ant = self.rx_antenna_positions.shape[0]
-        if self.samples.shape != (n_ant, self.waveform.subcarrier_count):
+        tx, rx, center = self.tx.position, self.rx.position, self.region_center
+        object.__setattr__(self, "direction", bistatic_direction(tx, rx, center))
+        object.__setattr__(self, "bistatic_scale", bistatic_factor(tx, rx, center))
+        if self.samples.shape != (self.rx.antenna_count, self.waveform.subcarrier_count):
             raise ValueError("sample grid must be (antenna_count, subcarrier_count)")
-        if abs(np.linalg.norm(self.direction) - 1.0) > 1e-9:
-            raise ValueError("direction must be a unit vector")
-
-    @property
-    def antenna_count(self) -> int:
-        return self.samples.shape[0]
-
-
-def measurement_patch(
-    samples: np.ndarray,
-    tx: BaseStation,
-    rx: BaseStation,
-    wf: WaveformSpec,
-    region_center: GroundPoint,
-) -> MeasurementPatch:
-    """Wrap samples recorded by rx from tx's beam with their bistatic metadata.
-
-    Direction, scale and composite distance are taken at the region
-    center; the receive-array snapshot comes from the station itself.
-    """
-    tx_pos = tx.position.as_array()
-    rx_pos = rx.position.as_array()
-    d1 = np.linalg.norm(tx_pos - region_center.as_array())
-    d2 = np.linalg.norm(rx_pos - region_center.as_array())
-    return MeasurementPatch(
-        samples=samples,
-        tx_id=tx.station_id,
-        rx_id=rx.station_id,
-        direction=bistatic_direction(tx.position, rx.position, region_center),
-        bistatic_scale=bistatic_factor(tx.position, rx.position, region_center),
-        composite_distance=float(d1 + d2),
-        region_center=region_center,
-        waveform=wf,
-        rx_antenna_positions=rx.antenna_positions(),
-        rx_antenna_spacing=rx.antenna_spacing,
-        rx_array_orientation=rx.array_orientation,
-        tx_position=tx_pos,
-        rx_position=rx_pos,
-    )
 
 
 def synthesize_measurement(
@@ -193,4 +149,4 @@ def synthesize_measurement(
             rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
         )
 
-    return measurement_patch(samples, tx, rx, wf, region_center)
+    return MeasurementPatch(samples, tx, rx, wf, region_center)

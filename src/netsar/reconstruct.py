@@ -20,22 +20,8 @@ from scipy.ndimage import map_coordinates
 from .constants import SPEED_OF_LIGHT
 from .errors import DegenerateStepError, EmptyInputError, IndexOverflowError
 from .geometry import GroundPoint, RotatedFrame, rotated_frame
-from .patches import AlignedPatch
-
-
-@dataclass(frozen=True)
-class SpectrumGrid:
-    """Regular global wavenumber grid with zero-filled unmeasured bins."""
-
-    values: np.ndarray
-    wavenumber_step: tuple[float, float]
-    origin_index: tuple[int, int]
-
-    def __post_init__(self):
-        if any(n % 2 for n in self.values.shape):
-            raise ValueError("grid dimensions must be even")
-        if min(self.wavenumber_step) <= 0:
-            raise ValueError("wavenumber steps must be positive")
+from .forward import MeasurementPatch
+from .patches import wavenumber_vectors
 
 
 @dataclass(frozen=True)
@@ -90,13 +76,19 @@ class ReflectorEstimate:
             raise ValueError("score must be nonnegative")
 
 
+def _patch_id(patch: MeasurementPatch) -> str:
+    return f"{patch.tx.station_id}->{patch.rx.station_id}"
+
+
 def bin_spectrum(
-    patches: list[AlignedPatch], S: int, pixel_extent: float
-) -> SpectrumGrid:
+    patches: list[MeasurementPatch], S: int, pixel_extent: float
+) -> np.ndarray:
     """Average every aligned sample into a 2S x 2S zero-filled grid.
 
-    Samples bin by nearest-integer index of coordinate / step; colliding
-    samples are averaged. A sample whose index leaves the grid raises.
+    Samples bin by nearest-integer index of their ground-plane
+    wavenumber over the step 2*pi / pixel_extent, with index 0 at grid
+    position S; colliding samples are averaged. A sample whose index
+    leaves the grid raises.
     """
     if not patches:
         raise EmptyInputError("at least one aligned patch is required")
@@ -105,13 +97,13 @@ def bin_spectrum(
     acc = np.zeros((n, n), dtype=complex)
     counts = np.zeros((n, n), dtype=np.int64)
     for patch in patches:
-        coords = patch.wavenumber_coords.reshape(-1, 2)
+        coords = wavenumber_vectors(patch)[..., :2].reshape(-1, 2)
         idx = np.rint(coords / dk).astype(np.int64)
         bad = (idx < -S) | (idx > S - 1)
         if np.any(bad):
             where = np.nonzero(bad.any(axis=1))[0][0]
             raise IndexOverflowError(
-                f"sample {where} of patch {patch.tx_id}->{patch.rx_id} at "
+                f"sample {where} of patch {_patch_id(patch)} at "
                 f"wavenumber {coords[where]} falls outside the {n}x{n} grid"
             )
         gi = idx[:, 0] + S
@@ -120,11 +112,11 @@ def bin_spectrum(
         np.add.at(counts, (gi, gj), 1)
     filled = counts > 0
     acc[filled] = acc[filled] / counts[filled]
-    return SpectrumGrid(values=acc, wavenumber_step=(dk, dk), origin_index=(S, S))
+    return acc
 
 
 def procedure1_invert(
-    patches: list[AlignedPatch], S: int, pixel_extent: float
+    patches: list[MeasurementPatch], S: int, pixel_extent: float
 ) -> ReconstructedImage:
     """Global zero-filled spectrum inversion.
 
@@ -140,17 +132,17 @@ def procedure1_invert(
             raise ValueError("procedure 1 requires a common region center")
     dx = pixel_extent / (2 * S)
     grid = bin_spectrum(patches, S, pixel_extent)
-    image = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(grid.values)))
+    image = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(grid)))
     return ReconstructedImage(
         magnitude=np.abs(image),
         pixel_spacing=(dx, dx),
         origin=center,
-        contributing_patches=tuple(f"{p.tx_id}->{p.rx_id}" for p in patches),
+        contributing_patches=tuple(_patch_id(p) for p in patches),
     )
 
 
 def procedure2_per_patch(
-    patch: AlignedPatch, pad_factor: int = 1
+    patch: MeasurementPatch, pad_factor: int = 1
 ) -> ReconstructedImage:
     """Per-patch regular-grid IDFT image in the patch (range, cross) frame.
 
@@ -169,7 +161,7 @@ def procedure2_per_patch(
         raise ValueError("procedure 2 needs at least two antennas")
     frame = rotated_frame(patch.direction)
 
-    coords = frame.to_patch(patch.wavenumber_coords.reshape(-1, 2))
+    coords = frame.to_patch(wavenumber_vectors(patch)[..., :2].reshape(-1, 2))
     corner = coords.min(axis=0)
     rel = coords - corner[None, :]
 
@@ -199,7 +191,7 @@ def procedure2_per_patch(
         magnitude=np.abs(image),
         pixel_spacing=(dr1 / pad_factor, dr2 / pad_factor),
         origin=patch.region_center,
-        contributing_patches=(f"{patch.tx_id}->{patch.rx_id}",),
+        contributing_patches=(_patch_id(patch),),
         frame=frame,
     )
 
@@ -287,7 +279,7 @@ class RangeProfile:
 
 
 def range_profiles(
-    patch: AlignedPatch, threshold_db: float = 6.0
+    patch: MeasurementPatch, threshold_db: float = 6.0
 ) -> RangeProfile:
     """Range response via a 1-D IDFT across subcarriers.
 
@@ -327,7 +319,7 @@ def range_profiles(
         peaks=tuple(peaks),
         direction=patch.direction.copy(),
         center=patch.region_center.horizontal(),
-        patch_id=f"{patch.tx_id}->{patch.rx_id}",
+        patch_id=_patch_id(patch),
     )
 
 

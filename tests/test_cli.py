@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -22,7 +24,12 @@ from netsar.config import (
     ScheduleConfig,
     save_config,
 )
-from netsar.errors import ConfigError, MissingDatasetError, UnknownAlgorithmError
+from netsar.errors import (
+    ConfigError,
+    CorruptDatasetError,
+    MissingDatasetError,
+    UnknownAlgorithmError,
+)
 from netsar.forward import synthesize_measurement
 from netsar.geometry import BeamSpec
 from netsar.imageio import read_table
@@ -130,7 +137,7 @@ def test_load_dataset_round_trip(tmp_path):
     assert len(patches) == count
     p = patches[0]
     assert p.samples.shape == (16, SMALL.waveform.subcarrier_count)
-    assert p.tx_id != p.rx_id
+    assert p.tx.station_id != p.rx.station_id
     with pytest.raises(MissingDatasetError):
         load_dataset(SMALL, tmp_path / "nope")
 
@@ -153,10 +160,41 @@ def test_load_dataset_round_trip(tmp_path):
             channel_waveform(SMALL, int(row[col["channel"]])),
         )
         assert np.array_equal(loaded.samples, made.samples)
-        for name in ("direction", "rx_antenna_positions", "tx_position", "rx_position"):
-            assert np.array_equal(getattr(loaded, name), getattr(made, name)), name
-        for name in ("bistatic_scale", "composite_distance", "region_center", "waveform"):
+        assert np.array_equal(loaded.direction, made.direction)
+        for name in ("tx", "rx", "bistatic_scale", "region_center", "waveform"):
             assert getattr(loaded, name) == getattr(made, name), name
+
+
+def _with_nan(samples):
+    samples = samples.copy()
+    samples[0, 0, 5] = np.nan
+    return samples
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda s: s[:-1], "shape"),
+        (lambda s: np.concatenate([s, s[:1]]), "shape"),
+        (_with_nan, "non-finite"),
+    ],
+    ids=["row_missing", "row_extra", "nan_sample"],
+)
+def test_load_dataset_rejects_corrupt_samples(tmp_path, damage, message):
+    out = tmp_path / "run"
+    assert simulate_run(SMALL, out, seed=7) > 1
+    np.save(out / "samples.npy", damage(np.load(out / "samples.npy")))
+    with pytest.raises(CorruptDatasetError, match=message):
+        load_dataset(SMALL, out)
+
+
+def test_load_dataset_rejects_a_truncated_samples_file(tmp_path):
+    out = tmp_path / "run"
+    assert simulate_run(SMALL, out, seed=7) > 0
+    raw = (out / "samples.npy").read_bytes()
+    (out / "samples.npy").write_bytes(raw[:-16])
+    with pytest.raises(CorruptDatasetError, match="samples.npy"):
+        load_dataset(SMALL, out)
 
 
 def test_load_dataset_names_a_station_missing_from_the_config(tmp_path):
@@ -218,6 +256,19 @@ def test_reconstruct_rejects_a_config_that_conflicts_with_the_dataset(
     (key,) = change
     with pytest.raises(ConfigError, match=rf"{section}\.{key} = .* conflicts"):
         reconstruct_run(cfg, data, tmp_path / "rec", seed=7)
+
+
+def test_reconstruction_manifest_does_not_depend_on_the_dataset_path(tmp_path):
+    data = (tmp_path / "data").resolve()
+    simulate_run(SMALL, data, seed=7)
+    moved = tmp_path / "elsewhere" / "copy"
+    shutil.copytree(data, moved)
+    reconstruct_run(SMALL, data, tmp_path / "rec_a", seed=7)
+    reconstruct_run(SMALL, moved, tmp_path / "rec_b", seed=7)
+    manifest = (tmp_path / "rec_a" / "manifest.txt").read_bytes()
+    assert manifest == (tmp_path / "rec_b" / "manifest.txt").read_bytes()
+    digest = hashlib.sha256((data / "manifest.txt").read_bytes()).hexdigest()
+    assert f"dataset_manifest = {digest}" in manifest.decode()
 
 
 def test_reconstruct_needs_the_dataset_config(tmp_path):

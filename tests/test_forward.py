@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from netsar.constants import SPEED_OF_LIGHT
-from netsar.errors import EmptyFootprintError
-from netsar.forward import WaveformSpec, synthesize_measurement
+from netsar.errors import DegenerateGeometryError, EmptyFootprintError
+from netsar.forward import MeasurementPatch, WaveformSpec, synthesize_measurement
 from netsar.geometry import BaseStation, BeamSpec, EllipseFootprint, GroundPoint
 from netsar.scene import Scene
 
@@ -123,3 +123,21 @@ def test_forward_noise_deterministic_and_scaled():
     delta = noisy1.samples - clean.samples
     power = np.mean(np.abs(delta) ** 2)
     assert 0.3e-8 < power < 3e-8
+
+
+def test_patch_derives_geometry_from_its_stations():
+    tx, rx = _stations()
+    samples = np.zeros((rx.antenna_count, WF.subcarrier_count), dtype=complex)
+    center = GroundPoint(5.0, -3.0)
+    patch = MeasurementPatch(samples, tx, rx, WF, center)
+    u = tx.position.as_array() - center.as_array()
+    v = rx.position.as_array() - center.as_array()
+    s = (u / np.linalg.norm(u) + v / np.linalg.norm(v))[:2]
+    assert np.allclose(patch.direction, s / np.linalg.norm(s), atol=1e-15)
+    assert math.isclose(patch.bistatic_scale, np.linalg.norm(s), rel_tol=1e-15)
+    with pytest.raises(ValueError, match="sample grid"):
+        MeasurementPatch(samples[:1], tx, rx, WF, center)
+    # stations opposite each other across the center cancel the direction
+    opposite = BaseStation(position=GroundPoint(-300.0, -50.0, 40.0), station_id="op")
+    with pytest.raises(DegenerateGeometryError):
+        MeasurementPatch(samples[:1], tx, opposite, WF, GroundPoint(0.0, 0.0))

@@ -10,7 +10,7 @@ from netsar.patches import (
     align_distance,
     align_orientation,
     misalignment_angle,
-    place_in_spectrum,
+    wavenumber_vectors,
 )
 from netsar.scene import Scene
 
@@ -101,22 +101,21 @@ def test_align_orientation_identity_at_broadside():
     assert np.array_equal(aligned.samples, patch.samples)
 
 
-def test_place_in_spectrum_coordinates():
+def test_wavenumber_vectors_coordinates():
     patch = _patch(n_ant=4)
-    aligned = place_in_spectrum(patch)
-    assert aligned.wavenumber_coords.shape == patch.samples.shape + (2,)
+    coords = wavenumber_vectors(patch)[..., :2]
+    assert coords.shape == patch.samples.shape + (2,)
     # check one sample against the definition
     k = WF.wavenumbers()
     l, m = 2, 7
-    u_tx = patch.tx_position / np.linalg.norm(patch.tx_position)
-    a = patch.rx_antenna_positions[l]
+    tx_pos = patch.tx.position.as_array()
+    u_tx = tx_pos / np.linalg.norm(tx_pos)
+    a = patch.rx.antenna_positions()[l]
     u_rx = a / np.linalg.norm(a)
     expected = k[m] * (u_tx + u_rx)[:2]
-    assert np.allclose(aligned.wavenumber_coords[l, m], expected, rtol=1e-12)
+    assert np.allclose(coords[l, m], expected, rtol=1e-12)
     # radial subcarrier spacing carries the bistatic scale factor
-    step = np.linalg.norm(
-        aligned.wavenumber_coords[l, m + 1] - aligned.wavenumber_coords[l, m]
-    )
+    step = np.linalg.norm(coords[l, m + 1] - coords[l, m])
     b = np.linalg.norm((u_tx + u_rx)[:2])
     assert math.isclose(step, 2 * math.pi * 2e6 / 299792458.0 * b, rel_tol=1e-9)
 
@@ -127,26 +126,27 @@ def test_align_and_place_phase_matches_far_field_model():
     p = np.array([3.5, -1.5])  # on a pixel center of the 1 m grid
     patch = _patch(point=tuple(p), n_ant=4)
     aligned = align_and_place(patch)
-    model = np.exp(1j * aligned.wavenumber_coords @ p)
+    model = np.exp(1j * wavenumber_vectors(aligned)[..., :2] @ p)
     observed = aligned.samples / np.abs(aligned.samples)
     err = np.angle(observed * np.conj(model))
     # residual is bounded by the quadratic far-field curvature of each leg
     k_max = WF.wavenumbers()[-1]
-    d_tx = np.linalg.norm(patch.tx_position - np.array([p[0], p[1], 0.0]))
-    d_rx = np.linalg.norm(patch.rx_position - np.array([p[0], p[1], 0.0]))
+    tx_pos = patch.tx.position.as_array()
+    rx_pos = patch.rx.position.as_array()
+    d_tx = np.linalg.norm(tx_pos - np.array([p[0], p[1], 0.0]))
+    d_rx = np.linalg.norm(rx_pos - np.array([p[0], p[1], 0.0]))
     bound = k_max * (p @ p) * (0.5 / d_tx + 0.5 / d_rx)
     assert np.abs(err).max() < 1.2 * bound
 
     # exact model: aligned phase is k_m (D_center - d1 - d2l) per sample
     k = WF.wavenumbers()
     pt = np.array([p[0], p[1], 0.0])
-    d1 = np.linalg.norm(patch.tx_position - pt)
-    d_tx0 = np.linalg.norm(patch.tx_position)
+    d1 = np.linalg.norm(tx_pos - pt)
+    d_tx0 = np.linalg.norm(tx_pos)
     exact_err = []
-    for l in range(patch.antenna_count):
-        a = patch.rx_antenna_positions[l]
+    for l, a in enumerate(patch.rx.antenna_positions()):
         d2 = np.linalg.norm(a - pt)
-        d_rx0 = np.linalg.norm(patch.rx_position)
+        d_rx0 = np.linalg.norm(rx_pos)
         exact = np.exp(1j * k * (d_tx0 + d_rx0 - d1 - d2))
         exact_err.append(np.angle(observed[l] * np.conj(exact)))
     assert np.abs(np.array(exact_err)).max() < 1e-9

@@ -258,12 +258,19 @@ def load_dataset(cfg: RunConfig, dataset: Path):
     """Rebuild MeasurementPatch objects from a simulate_run dataset.
 
     Raises CorruptDatasetError when samples.npy cannot be read or does
-    not hold one finite (antenna, subcarrier) grid per patches.csv row.
+    not hold one finite (antenna, subcarrier) grid per patches.csv row,
+    when patches.csv lacks a column, and when one of its rows is
+    malformed: the index column is not a permutation of 0..P-1, the
+    channel is not a configured channel, the carrier is not that
+    channel's, or the center is not finite.
     """
     for name in ("patches.csv", "samples.npy", "manifest.txt"):
         if not (dataset / name).is_file():
             raise MissingDatasetError(f"no {name} in dataset {dataset}")
     header, rows = read_table(dataset / "patches.csv")
+    missing = [name for name in PATCH_COLUMNS if name not in header]
+    if missing:
+        raise CorruptDatasetError(f"patches.csv in {dataset} has no column {missing}")
     try:
         stacked = np.load(dataset / "samples.npy")
     except ValueError as exc:  # a truncated or garbled .npy file
@@ -279,29 +286,56 @@ def load_dataset(cfg: RunConfig, dataset: Path):
     if not np.isfinite(stacked).all():
         raise CorruptDatasetError(f"samples.npy in {dataset} holds non-finite samples")
     stations = {s.station_id: s for s in build_network(cfg)}
-    col = {name: k for k, name in enumerate(header)}
+    channels = cfg.schedule.channel_count
+    used: set[int] = set()
     patches = []
-    for row in rows:
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise CorruptDatasetError(
+                f"patches.csv line {line} has {len(row)} fields, not {len(header)}"
+            )
+        cells = dict(zip(header, row))
+        index = _cell(
+            cells, line, "index", int, lambda v: 0 <= v < len(rows) and v not in used,
+            f"a patch index in 0..{len(rows) - 1} that no earlier row uses",
+        )
+        used.add(index)
+        channel = _cell(
+            cells, line, "channel", int, lambda v: 0 <= v < channels,
+            f"a channel in 0..{channels - 1}",
+        )
+        wf = channel_waveform(cfg, channel)
+        _cell(
+            cells, line, "carrier_hz", float,
+            lambda v: math.isclose(v, wf.carrier_frequency, rel_tol=1e-9),
+            f"channel {channel}'s carrier {wf.carrier_frequency!r}",
+        )
+        center = GroundPoint(
+            _cell(cells, line, "center_x", float, math.isfinite, "a finite number"),
+            _cell(cells, line, "center_y", float, math.isfinite, "a finite number"),
+        )
         try:
-            tx, rx = stations[row[col["tx_id"]]], stations[row[col["rx_id"]]]
+            tx, rx = stations[cells["tx_id"]], stations[cells["rx_id"]]
         except KeyError as exc:
             raise ConfigError(
                 f"dataset station {exc.args[0]} is not in the configured "
                 f"{cfg.network.grid_side}x{cfg.network.grid_side} network"
             ) from None
-        center = GroundPoint(
-            float(row[col["center_x"]]), float(row[col["center_y"]])
-        )
-        patches.append(
-            MeasurementPatch(
-                stacked[int(row[col["index"]])],
-                tx,
-                rx,
-                channel_waveform(cfg, int(row[col["channel"]])),
-                center,
-            )
-        )
+        patches.append(MeasurementPatch(stacked[index], tx, rx, wf, center))
     return patches
+
+
+def _cell(cells, line, name, parse, valid, expected):
+    """One patches.csv field, parsed and checked, or CorruptDatasetError."""
+    try:
+        value = parse(cells[name])
+    except ValueError:
+        value = None
+    if value is None or not valid(value):
+        raise CorruptDatasetError(
+            f"patches.csv line {line}, column {name}: {cells[name]!r} is not {expected}"
+        )
+    return value
 
 
 # ------------------------------------------------------------ reconstruct

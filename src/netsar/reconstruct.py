@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import griddata
 from scipy.ndimage import map_coordinates
 
 from .constants import SPEED_OF_LIGHT
@@ -146,54 +145,73 @@ def procedure2_per_patch(
 ) -> ReconstructedImage:
     """Per-patch regular-grid IDFT image in the patch (range, cross) frame.
 
-    The patch spectrum is rotated to its look direction, shifted so the
-    sample cloud's minimum corner sits at the grid origin (a pure image
-    phase ramp), interpolated bilinearly onto the (dk1, dk2) grid, and
-    inverted with an M x N_a IDFT. The grid steps are read off the
-    measured sample cloud itself (span / count in each rotated axis), so
-    the grid matches the measured lattice for any geometry.
+    The patch spectrum is rotated to its look direction and shifted so
+    the sample cloud's minimum corner sits at the grid origin (a pure
+    image phase ramp). Sample (l, m) lies at k_m * r_l on antenna l's
+    ray, so the (dk1, dk2) grid is filled by keystone interpolation:
+    linearly along the two rays whose slopes bracket a node, in
+    subcarrier index at the node's range wavenumber, then linearly
+    across them; nodes outside the measured lattice stay zero. The grid
+    is inverted with an M x N_a IDFT. The grid steps are read off the
+    measured sample cloud (span / count in each rotated axis), so the
+    grid matches the measured lattice for any geometry.
     ``pad_factor`` zero-pads the regular grid before the IDFT for
     sinc-interpolated sub-cell image pixels (resolution is unchanged).
     """
-    M = patch.waveform.subcarrier_count
-    n_ant = patch.samples.shape[0]
-    if n_ant < 2:
-        raise ValueError("procedure 2 needs at least two antennas")
-    frame = rotated_frame(patch.direction)
-
-    coords = frame.to_patch(wavenumber_vectors(patch)[..., :2].reshape(-1, 2))
-    corner = coords.min(axis=0)
-    rel = coords - corner[None, :]
-
-    span = rel.max(axis=0)
-    dk1c = span[0] / (M - 1) / (2.0 * np.pi)
-    dk2c = span[1] / (n_ant - 1) / (2.0 * np.pi)
-    if dk1c < 1e-15 or dk2c < 1e-15:
-        raise DegenerateStepError(
-            f"measured sample cloud is degenerate: spans {span}"
-        )
-    dr1 = 1.0 / (M * dk1c)
-    dr2 = 1.0 / (n_ant * dk2c)
-
-    dk1 = 2.0 * np.pi * dk1c
-    dk2 = 2.0 * np.pi * dk2c
-    gi = np.arange(M) * dk1
-    gj = np.arange(n_ant) * dk2
-    gx, gy = np.meshgrid(gi, gj, indexing="ij")
-    values = patch.samples.reshape(-1)
-    grid = griddata(rel, values, (gx, gy), method="linear", fill_value=0.0)
-
     if pad_factor < 1:
         raise ValueError("pad_factor must be >= 1")
-    shape = (pad_factor * M, pad_factor * n_ant)
-    image = np.fft.fftshift(np.fft.fft2(grid, s=shape))
+    grid, frame, steps = _keystone_grid(patch)
+    shape = np.array(grid.shape)
+    image = np.fft.fftshift(np.fft.fft2(grid, s=tuple(pad_factor * shape)))
     return ReconstructedImage(
         magnitude=np.abs(image),
-        pixel_spacing=(dr1 / pad_factor, dr2 / pad_factor),
+        pixel_spacing=tuple(1.0 / (shape * steps) / pad_factor),
         origin=patch.region_center,
         contributing_patches=(_patch_id(patch),),
         frame=frame,
     )
+
+
+def _keystone_grid(patch: MeasurementPatch):
+    """Procedure 2's (M, N_a) spectrum grid, its frame and its steps.
+
+    Node (i, j) sits at the sample cloud's minimum corner plus
+    2*pi * (i, j) * steps in the patch frame; steps are in cycles per metre.
+    """
+    n_ant, M = patch.samples.shape
+    if n_ant < 2:
+        raise ValueError("procedure 2 needs at least two antennas")
+    if M < 2:
+        raise ValueError("procedure 2 needs at least two subcarriers")
+    frame = rotated_frame(patch.direction)
+    coords = frame.to_patch(wavenumber_vectors(patch)[..., :2])  # (N_a, M, 2)
+    corner = coords.min(axis=(0, 1))
+    span = coords.max(axis=(0, 1)) - corner
+    steps = span / (np.array([M, n_ant]) - 1) / (2.0 * np.pi)
+    if steps.min() < 1e-15 or coords[:, 0, 0].min() <= 0:
+        raise DegenerateStepError(f"measured sample cloud is degenerate: spans {span}")
+
+    # antenna l's samples lie on the ray k_m * r_l; sort the rays by slope
+    slopes = coords[:, 0, 1] / coords[:, 0, 0]
+    order = np.argsort(slopes)
+    slopes, s, first = slopes[order], patch.samples[order], coords[order, 0, 0]
+    k = patch.waveform.wavenumbers()
+    k1 = corner[0] + np.arange(M)[:, None] * (2.0 * np.pi * steps[0])
+    k2 = corner[1] + np.arange(n_ant)[None, :] * (2.0 * np.pi * steps[1])
+    lo = np.clip(np.searchsorted(slopes, k2 / k1, side="right") - 1, 0, n_ant - 2)
+    w = (k2 / k1 - slopes[lo]) / (slopes[lo + 1] - slopes[lo])
+    inside = (w >= -1e-9) & (w <= 1 + 1e-9)
+    grid = np.zeros((M, n_ant), dtype=complex)
+    for ray, weight in ((lo, 1.0 - w), (lo + 1, w)):
+        # subcarrier index (k1 / r_l[0] - k_0) / dk of the node on ray l,
+        # whose first sample sits at range k_0 * r_l[0]
+        t = (k1 * k[0] / first[ray] - k[0]) / (k[1] - k[0])
+        inside &= (t >= -1e-9) & (t <= M - 1 + 1e-9)
+        t = np.clip(t, 0, M - 1)
+        m0 = np.minimum(t.astype(int), M - 2)
+        grid += weight * ((m0 + 1 - t) * s[ray, m0] + (t - m0) * s[ray, m0 + 1])
+    grid[~inside] = 0.0
+    return grid, frame, steps
 
 
 def fuse_images(
@@ -213,32 +231,37 @@ def fuse_images(
     the fused response localizes in both axes; the mean form preserves
     relative brightness but keeps each ridge at half scale. The result is
     renormalized to unit peak. A warning (not an error) is issued when an
-    input image does not overlap the target grid.
+    input image does not overlap the target grid. An image is sampled
+    only inside the ground bounding box of its pixels widened by one
+    pixel; beyond its pixels bilinear sampling reads exactly 0.
     """
     if not images:
         raise EmptyInputError("at least one image is required")
     if method not in ("mean", "product"):
         raise ValueError(f"unknown fusion method: {method!r}")
-    nx = math.ceil(extent[0] / spacing)
-    ny = math.ceil(extent[1] / spacing)
-    xs = (np.arange(nx) - nx // 2) * spacing + center.x
-    ys = (np.arange(ny) - ny // 2) * spacing + center.y
-    px, py = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([px.ravel(), py.ravel()], axis=1)
+    shape = np.array([math.ceil(extent[0] / spacing), math.ceil(extent[1] / spacing)])
+    xs = (np.arange(shape[0]) - shape[0] // 2) * spacing + center.x
+    ys = (np.arange(shape[1]) - shape[1] // 2) * spacing + center.y
 
-    fused = np.zeros(nx * ny) if method == "mean" else np.ones(nx * ny)
+    fused = np.zeros(shape) if method == "mean" else np.ones(shape)
     ids: list[str] = []
     for img in images:
         peak = img.magnitude.max()
         norm = img.magnitude / peak if peak > 0 else img.magnitude
-        off = pts - img.origin.horizontal()[None, :]
-        local = img.frame.to_patch(off) if img.frame is not None else off
         mx, my = img.magnitude.shape
-        fi = local[:, 0] / img.pixel_spacing[0] + mx // 2
-        fj = local[:, 1] / img.pixel_spacing[1] + my // 2
-        sampled = map_coordinates(
-            norm, np.stack([fi, fj]), order=1, mode="constant", cval=0.0
-        )
+        corners = img.ground_position([-1, -1, mx, mx], [-1, my, -1, my])
+        rel = (corners - center.horizontal()) / spacing + shape // 2
+        a0, b0 = np.clip(np.floor(rel.min(axis=0)), 0, shape).astype(int)
+        a1, b1 = np.clip(np.ceil(rel.max(axis=0)) + 1, 0, shape).astype(int)
+        # fractional pixel indices are affine in the ground row and column
+        rot = img.frame.matrix if img.frame is not None else np.eye(2)
+        rot = rot / np.array(img.pixel_spacing)[:, None]
+        dx, dy = xs[a0:a1] - img.origin.x, ys[b0:b1] - img.origin.y
+        index = np.empty((2, dx.size, dy.size))
+        for axis, n in enumerate((mx, my)):
+            np.add.outer(rot[axis, 0] * dx + n // 2, rot[axis, 1] * dy, out=index[axis])
+        sampled = np.zeros(shape)
+        sampled[a0:a1, b0:b1] = map_coordinates(norm, index, order=1, mode="constant")
         if not np.any(sampled > 0):
             warnings.warn(
                 f"image {img.contributing_patches} does not overlap the target grid",
@@ -255,7 +278,7 @@ def fuse_images(
     if peak > 0:
         fused /= peak
     return ReconstructedImage(
-        magnitude=fused.reshape(nx, ny),
+        magnitude=fused,
         pixel_spacing=(spacing, spacing),
         origin=center,
         contributing_patches=tuple(ids),

@@ -1,11 +1,16 @@
 import dataclasses
 import hashlib
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netsar
 from netsar.cli import (
     build_network,
     build_scene,
@@ -32,7 +37,7 @@ from netsar.errors import (
 )
 from netsar.forward import synthesize_measurement
 from netsar.geometry import BeamSpec
-from netsar.imageio import read_table
+from netsar.imageio import read_table, write_table
 
 SMALL = RunConfig(
     scene=SceneConfig(extent_m=200.0, resolution_m=1.0, reflector_count=12, seed=1),
@@ -195,6 +200,82 @@ def test_load_dataset_rejects_a_truncated_samples_file(tmp_path):
     (out / "samples.npy").write_bytes(raw[:-16])
     with pytest.raises(CorruptDatasetError, match="samples.npy"):
         load_dataset(SMALL, out)
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small") / "run"
+    assert simulate_run(SMALL, out, seed=7) > 1
+    return out
+
+
+def _set_cell(row, column, value):
+    return lambda header, rows: rows[row].__setitem__(header.index(column), value)
+
+
+def _repeat_first_index(header, rows):
+    col = header.index("index")
+    rows[1][col] = rows[0][col]
+
+
+def _shift_carrier(header, rows):
+    col = header.index("carrier_hz")
+    rows[0][col] = repr(float(rows[0][col]) + 1.0e6)
+
+
+def _rename_channel_column(header, rows):
+    header[header.index("channel")] = "chan"
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_set_cell(0, "index", "99"), "line 2, column index"),
+        (_set_cell(0, "index", "x"), "line 2, column index"),
+        (_repeat_first_index, "line 3, column index"),
+        (_set_cell(0, "channel", "9"), "line 2, column channel"),
+        (_set_cell(0, "channel", "-1"), "line 2, column channel"),
+        (_shift_carrier, "line 2, column carrier_hz"),
+        (_set_cell(0, "center_x", "nan"), "line 2, column center_x"),
+        (_set_cell(1, "center_y", "north"), "line 3, column center_y"),
+        (lambda header, rows: rows[1].pop(), "line 3 has 9 fields"),
+        (_rename_channel_column, r"no column \['channel'\]"),
+    ],
+    ids=[
+        "index_past_the_end",
+        "index_not_a_number",
+        "index_repeated",
+        "channel_past_the_end",
+        "channel_negative",
+        "carrier_of_no_channel",
+        "center_not_finite",
+        "center_not_a_number",
+        "row_short",
+        "column_missing",
+    ],
+)
+def test_load_dataset_rejects_a_malformed_patch_table(
+    small_dataset, tmp_path, damage, message
+):
+    out = shutil.copytree(small_dataset, tmp_path / "run")
+    header, rows = read_table(out / "patches.csv")
+    damage(header, rows)
+    write_table(out / "patches.csv", header, rows)
+    with pytest.raises(CorruptDatasetError, match=f"patches.csv .*{message}"):
+        load_dataset(SMALL, out)
+
+
+def test_importing_the_cli_leaves_scipy_interpolate_unloaded():
+    src = Path(netsar.__file__).resolve().parents[1]
+    code = "import sys, netsar.cli; print('scipy.interpolate' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_load_dataset_names_a_station_missing_from_the_config(tmp_path):

@@ -1,16 +1,28 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import griddata
+from scipy.ndimage import map_coordinates
 
+from netsar.cli import load_dataset, simulate_run
+from netsar.config import RunConfig
 from netsar.constants import SPEED_OF_LIGHT
 from netsar.errors import EmptyInputError, IndexOverflowError
 from netsar.forward import WaveformSpec, synthesize_measurement
-from netsar.geometry import BaseStation, BeamSpec, EllipseFootprint, GroundPoint
+from netsar.geometry import (
+    BaseStation,
+    BeamSpec,
+    EllipseFootprint,
+    GroundPoint,
+    rotated_frame,
+)
 from netsar.patches import align_and_place, wavenumber_vectors
 from netsar.reconstruct import (
     ReconstructedImage,
     ReflectorEstimate,
+    _keystone_grid,
     bin_spectrum,
     estimate_height,
     fuse_images,
@@ -133,6 +145,125 @@ def test_procedure2_rejects_single_antenna():
     aligned = _aligned((0.125, 0.125), (400.0, 0.0), (380.0, 40.0), n_ant=1)
     with pytest.raises(ValueError):
         procedure2_per_patch(aligned)
+
+
+def test_procedure2_checks_its_inputs_before_any_work():
+    one = WaveformSpec(carrier_frequency=5e9, subcarrier_count=1, subcarrier_spacing=2e6)
+    aligned = _aligned((0.125, 0.125), (400.0, 0.0), (380.0, 40.0), n_ant=4, wf=one)
+    with pytest.raises(ValueError, match="at least two subcarriers"):
+        procedure2_per_patch(aligned)
+    aligned = _aligned((0.125, 0.125), (400.0, 0.0), (380.0, 40.0), n_ant=4)
+    with pytest.raises(ValueError, match="pad_factor"):
+        procedure2_per_patch(aligned, pad_factor=0)
+
+
+def _assert_grid_matches_griddata(patch):
+    """The keystone grid against Delaunay-linear interpolation on its nodes."""
+    grid, frame, steps = _keystone_grid(patch)
+    coords = frame.to_patch(wavenumber_vectors(patch)[..., :2].reshape(-1, 2))
+    rel = coords - coords.min(axis=0)
+    gx, gy = np.meshgrid(
+        np.arange(grid.shape[0]) * 2.0 * np.pi * steps[0],
+        np.arange(grid.shape[1]) * 2.0 * np.pi * steps[1],
+        indexing="ij",
+    )
+    ref = griddata(
+        rel, patch.samples.reshape(-1), (gx, gy), method="linear", fill_value=0.0
+    )
+    image, ref_image = np.abs(np.fft.fft2(grid)), np.abs(np.fft.fft2(ref))
+    assert np.abs(image - ref_image).max() <= 1e-2 * ref_image.max()
+    assert np.argmax(image) == np.argmax(ref_image)
+    both = (grid != 0) & (ref != 0)
+    assert np.abs(grid - ref)[both].max() <= 1e-2 * np.abs(ref).max()
+    zeros = abs(np.count_nonzero(grid == 0) - np.count_nonzero(ref == 0))
+    assert zeros <= 0.01 * grid.size
+
+
+def test_keystone_grid_matches_griddata_on_random_bistatic_geometries():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        p = tuple(rng.integers(-24, 24, size=2) * 0.25 + 0.125)
+        az_tx = rng.uniform(0, 2 * math.pi)
+        az_rx = az_tx + rng.uniform(0.05, 0.6)
+        r_tx = rng.uniform(300.0, 500.0)
+        r_rx = rng.uniform(300.0, 500.0)
+        _assert_grid_matches_griddata(
+            _aligned(
+                p,
+                (r_tx * math.cos(az_tx), r_tx * math.sin(az_tx)),
+                (r_rx * math.cos(az_rx), r_rx * math.sin(az_rx)),
+                n_ant=48,
+            )
+        )
+
+
+def test_keystone_grid_matches_griddata_on_a_simulated_patch(tmp_path):
+    base = RunConfig()
+    cfg = dataclasses.replace(
+        base, schedule=dataclasses.replace(base.schedule, slot_count=20)
+    )
+    assert simulate_run(cfg, tmp_path, cfg.schedule.seed) > 0
+    patch = align_and_place(load_dataset(cfg, tmp_path)[0])
+    assert patch.samples.shape == (64, 256)
+    _assert_grid_matches_griddata(patch)
+
+
+def _fuse_full_grid(images, extent, spacing, center, method):
+    """Reference fusion: every image sampled at every target pixel."""
+    nx = math.ceil(extent[0] / spacing)
+    ny = math.ceil(extent[1] / spacing)
+    xs = (np.arange(nx) - nx // 2) * spacing + center.x
+    ys = (np.arange(ny) - ny // 2) * spacing + center.y
+    px, py = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.stack([px.ravel(), py.ravel()], axis=1)
+    fused = np.zeros(nx * ny) if method == "mean" else np.ones(nx * ny)
+    for img in images:
+        norm = img.magnitude / img.magnitude.max()
+        off = pts - img.origin.horizontal()[None, :]
+        local = img.frame.to_patch(off) if img.frame is not None else off
+        mx, my = img.magnitude.shape
+        fi = local[:, 0] / img.pixel_spacing[0] + mx // 2
+        fj = local[:, 1] / img.pixel_spacing[1] + my // 2
+        sampled = map_coordinates(
+            norm, np.stack([fi, fj]), order=1, mode="constant", cval=0.0
+        )
+        fused = fused + sampled if method == "mean" else fused * sampled
+    if method == "mean":
+        fused /= len(images)
+    return (fused / fused.max()).reshape(nx, ny)
+
+
+@pytest.mark.parametrize("method", ["mean", "product"])
+def test_fuse_images_equals_full_grid_sampling(method):
+    rng = np.random.default_rng(5)
+    images = [
+        # rotated 45 degrees
+        ReconstructedImage(
+            magnitude=rng.random((64, 48)),
+            pixel_spacing=(0.3, 0.35),
+            origin=GroundPoint(1.0, -1.0),
+            frame=rotated_frame(np.array([1.0, 1.0]) / math.sqrt(2.0)),
+        ),
+        # reaches past the target grid's +x edge
+        ReconstructedImage(
+            magnitude=rng.random((80, 80)),
+            pixel_spacing=(0.2, 0.2),
+            origin=GroundPoint(8.0, 3.0),
+            frame=rotated_frame(np.array([math.cos(1.7), math.sin(1.7)])),
+        ),
+        # ground frame
+        ReconstructedImage(
+            magnitude=rng.random((70, 50)),
+            pixel_spacing=(0.25, 0.3),
+            origin=GroundPoint(-1.0, 2.0),
+        ),
+    ]
+    extent, spacing, center = (20.0, 18.0), 0.1, GroundPoint(0.5, -0.25)
+    fused = fuse_images(images, extent, spacing, center=center, method=method)
+    ref = _fuse_full_grid(images, extent, spacing, center, method)
+    assert fused.magnitude.shape == ref.shape
+    assert np.count_nonzero(ref) > 0.1 * ref.size
+    assert np.abs(fused.magnitude - ref).max() <= 1e-12
 
 
 def test_fuse_product_localizes_where_mean_keeps_ridges():

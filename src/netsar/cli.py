@@ -262,7 +262,10 @@ def load_dataset(cfg: RunConfig, dataset: Path):
     when patches.csv lacks a column, and when one of its rows is
     malformed: the index column is not a permutation of 0..P-1, the
     channel is not a configured channel, the carrier is not that
-    channel's, or the center is not finite.
+    channel's, the center, tilt or planar angle is not finite, the tilt
+    makes no valid beam, or the footprint of the beam rebuilt from tx,
+    tilt, planar angle and the config's open angle is not centered on
+    the row's center (within 1e-6 m). Each patch carries that footprint.
     """
     for name in ("patches.csv", "samples.npy", "manifest.txt"):
         if not (dataset / name).is_file():
@@ -286,7 +289,16 @@ def load_dataset(cfg: RunConfig, dataset: Path):
     if not np.isfinite(stacked).all():
         raise CorruptDatasetError(f"samples.npy in {dataset} holds non-finite samples")
     stations = {s.station_id: s for s in build_network(cfg)}
+    # a dataset of another network fails here, before its footprints do
+    named = {v for row in rows for k, v in zip(header, row) if k in ("tx_id", "rx_id")}
+    foreign = sorted(named - stations.keys())
+    if foreign:
+        raise ConfigError(
+            f"dataset station {foreign[0]} is not in the configured "
+            f"{cfg.network.grid_side}x{cfg.network.grid_side} network"
+        )
     channels = cfg.schedule.channel_count
+    open_angle = math.radians(cfg.beam.open_angle_deg)
     used: set[int] = set()
     patches = []
     for line, row in enumerate(rows, start=2):
@@ -314,15 +326,33 @@ def load_dataset(cfg: RunConfig, dataset: Path):
             _cell(cells, line, "center_x", float, math.isfinite, "a finite number"),
             _cell(cells, line, "center_y", float, math.isfinite, "a finite number"),
         )
-        try:
-            tx, rx = stations[cells["tx_id"]], stations[cells["rx_id"]]
-        except KeyError as exc:
-            raise ConfigError(
-                f"dataset station {exc.args[0]} is not in the configured "
-                f"{cfg.network.grid_side}x{cfg.network.grid_side} network"
-            ) from None
-        patches.append(MeasurementPatch(stacked[index], tx, rx, wf, center))
+        tx, rx = stations[cells["tx_id"]], stations[cells["rx_id"]]
+        footprint = _footprint(cells, line, tx, open_angle, center)
+        patches.append(MeasurementPatch(stacked[index], tx, rx, wf, center, footprint))
     return patches
+
+
+def _footprint(cells, line, tx, open_angle, center):
+    """The footprint of the row's beam, which must be centered on its center."""
+    tilt = _cell(cells, line, "tilt", float, math.isfinite, "a finite number")
+    planar = _cell(cells, line, "planar", float, math.isfinite, "a finite number")
+    try:
+        footprint = beam_footprint(tx, BeamSpec(open_angle, tilt, planar))
+    except InvalidBeamError as exc:
+        raise CorruptDatasetError(
+            f"patches.csv line {line}, column tilt: {cells['tilt']!r} is not "
+            f"a valid beam tilt ({exc})"
+        ) from None
+    for name, given, rebuilt in (
+        ("center_x", center.x, footprint.center.x),
+        ("center_y", center.y, footprint.center.y),
+    ):
+        if abs(given - rebuilt) > 1e-6:
+            raise CorruptDatasetError(
+                f"patches.csv line {line}, column {name}: {cells[name]!r} is not "
+                f"the center {rebuilt!r} of the beam its tilt and planar columns give"
+            )
+    return footprint
 
 
 def _cell(cells, line, name, parse, valid, expected):
@@ -418,9 +448,9 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
             f"skipped_parallel = {diag.skipped_parallel}",
         ]
     elif algorithm == "procedure2":
-        aligned = [align_and_place(p) for p in raw]
         images = [
-            procedure2_per_patch(a, pad_factor=rcfg.pad_factor) for a in aligned
+            procedure2_per_patch(align_and_place(p), pad_factor=rcfg.pad_factor)
+            for p in raw
         ]
         fused = fuse_images(
             images,
@@ -481,12 +511,13 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         samples = [WavenumberSample(k_vector=-v) for v in kvecs]
         grid = VoxelGrid(M_side=8, spacing=cfg.scene.extent_m / 16.0)
         tensor = build_sensing_tensor(samples, grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             voxels, rank = invert_sensing_tensor(tensor, values, grid)
         voxel_grid_to_csv(voxels, out / "voxels.csv")
         voxel_grid_slices_to_pgm(voxels, out, stem="voxels")
         report += [f"isar_samples = {values.size}", f"isar_rank = {rank}"]
+        report += [f"isar_warning = {w.message}" for w in caught]
     else:
         raise UnknownAlgorithmError(f"unknown algorithm {algorithm!r}")
 

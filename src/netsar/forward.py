@@ -61,7 +61,8 @@ class MeasurementPatch:
     ``samples[l, m]`` is the transfer-function sample at antenna l,
     subcarrier m. The stations carry the geometry alignment needs; the
     composite look direction and bistatic scale are taken once, at the
-    region center, when the patch is built.
+    region center, when the patch is built. ``footprint`` is the ground
+    ellipse tx's beam lit, when known; fusion samples only inside it.
     """
 
     samples: np.ndarray
@@ -69,6 +70,7 @@ class MeasurementPatch:
     rx: BaseStation
     waveform: WaveformSpec
     region_center: GroundPoint
+    footprint: EllipseFootprint | None = None
     direction: np.ndarray = field(init=False)
     bistatic_scale: float = field(init=False)
 
@@ -149,4 +151,4 @@ def synthesize_measurement(
             rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
         )
 
-    return MeasurementPatch(samples, tx, rx, wf, region_center)
+    return MeasurementPatch(samples, tx, rx, wf, region_center, footprint)

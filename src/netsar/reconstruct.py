@@ -18,7 +18,7 @@ from scipy.ndimage import map_coordinates
 
 from .constants import SPEED_OF_LIGHT
 from .errors import DegenerateStepError, EmptyInputError, IndexOverflowError
-from .geometry import GroundPoint, RotatedFrame, rotated_frame
+from .geometry import EllipseFootprint, GroundPoint, RotatedFrame, rotated_frame
 from .forward import MeasurementPatch
 from .patches import wavenumber_vectors
 
@@ -31,6 +31,7 @@ class ReconstructedImage:
     pixel (a, b) sits at offset ((a - nx//2) * dr1, (b - ny//2) * dr2)
     in the image frame. ``frame`` rotates that offset to the ground
     frame for patch-frame images; ground-frame images leave it None.
+    ``footprint`` is the ground ellipse the imaged beam lit, when known.
     """
 
     magnitude: np.ndarray
@@ -38,6 +39,7 @@ class ReconstructedImage:
     origin: GroundPoint
     contributing_patches: tuple[str, ...] = ()
     frame: RotatedFrame | None = None
+    footprint: EllipseFootprint | None = None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.magnitude)) or np.any(self.magnitude < 0):
@@ -169,6 +171,7 @@ def procedure2_per_patch(
         origin=patch.region_center,
         contributing_patches=(_patch_id(patch),),
         frame=frame,
+        footprint=patch.footprint,
     )
 
 
@@ -231,9 +234,17 @@ def fuse_images(
     the fused response localizes in both axes; the mean form preserves
     relative brightness but keeps each ridge at half scale. The result is
     renormalized to unit peak. A warning (not an error) is issued when an
-    input image does not overlap the target grid. An image is sampled
-    only inside the ground bounding box of its pixels widened by one
-    pixel; beyond its pixels bilinear sampling reads exactly 0.
+    input image does not overlap the target grid.
+
+    An image is sampled only at the target pixels inside its sample box;
+    under "product" every pixel outside it is zero. The box is the
+    ground bounding box of the image's pixels widened by one pixel
+    (beyond its pixels bilinear sampling reads exactly 0). For an image
+    with a footprint it is cut to the axis-aligned bounding box of the
+    footprint ellipse, half-widths hypot(a cos(psi), b sin(psi)) and
+    hypot(a sin(psi), b cos(psi)), widened by the image's largest pixel
+    spacing: the cross-range sidelobes that reach beyond the lit ground
+    are left out.
     """
     if not images:
         raise EmptyInputError("at least one image is required")
@@ -249,10 +260,7 @@ def fuse_images(
         peak = img.magnitude.max()
         norm = img.magnitude / peak if peak > 0 else img.magnitude
         mx, my = img.magnitude.shape
-        corners = img.ground_position([-1, -1, mx, mx], [-1, my, -1, my])
-        rel = (corners - center.horizontal()) / spacing + shape // 2
-        a0, b0 = np.clip(np.floor(rel.min(axis=0)), 0, shape).astype(int)
-        a1, b1 = np.clip(np.ceil(rel.max(axis=0)) + 1, 0, shape).astype(int)
+        (a0, b0), (a1, b1) = _sample_box(img, shape, spacing, center)
         # fractional pixel indices are affine in the ground row and column
         rot = img.frame.matrix if img.frame is not None else np.eye(2)
         rot = rot / np.array(img.pixel_spacing)[:, None]
@@ -260,17 +268,17 @@ def fuse_images(
         index = np.empty((2, dx.size, dy.size))
         for axis, n in enumerate((mx, my)):
             np.add.outer(rot[axis, 0] * dx + n // 2, rot[axis, 1] * dy, out=index[axis])
-        sampled = np.zeros(shape)
-        sampled[a0:a1, b0:b1] = map_coordinates(norm, index, order=1, mode="constant")
+        sampled = map_coordinates(norm, index, order=1, mode="constant")
         if not np.any(sampled > 0):
             warnings.warn(
                 f"image {img.contributing_patches} does not overlap the target grid",
                 stacklevel=2,
             )
         if method == "mean":
-            fused += sampled
+            fused[a0:a1, b0:b1] += sampled
         else:
-            fused *= sampled
+            fused[a0:a1, b0:b1] *= sampled
+            fused[:a0] = fused[a1:] = fused[:, :b0] = fused[:, b1:] = 0.0
         ids.extend(img.contributing_patches)
     if method == "mean":
         fused /= len(images)
@@ -283,6 +291,25 @@ def fuse_images(
         origin=center,
         contributing_patches=tuple(ids),
     )
+
+
+def _sample_box(img: ReconstructedImage, shape, spacing: float, center: GroundPoint):
+    """Target pixel index ranges [lo, hi) per axis of ``fuse_images``'s sample box."""
+    mx, my = img.magnitude.shape
+    corners = img.ground_position([-1, -1, mx, mx], [-1, my, -1, my])
+    rel = (corners - center.horizontal()) / spacing + shape // 2
+    lo, hi = np.floor(rel.min(axis=0)), np.ceil(rel.max(axis=0)) + 1
+    f = img.footprint
+    if f is not None:
+        a, b = f.semi_major, f.semi_minor
+        c, s = math.cos(f.major_axis_azimuth), math.sin(f.major_axis_azimuth)
+        half = np.array([math.hypot(a * c, b * s), math.hypot(a * s, b * c)])
+        half = (half + max(img.pixel_spacing)) / spacing
+        mid = (f.center.horizontal() - center.horizontal()) / spacing + shape // 2
+        lo = np.maximum(lo, np.ceil(mid - half))
+        hi = np.minimum(hi, np.floor(mid + half) + 1)
+    lo = np.clip(lo, 0, shape)
+    return lo.astype(int), np.clip(hi, lo, shape).astype(int)
 
 
 @dataclass(frozen=True)

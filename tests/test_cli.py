@@ -38,6 +38,7 @@ from netsar.errors import (
 from netsar.forward import synthesize_measurement
 from netsar.geometry import BeamSpec
 from netsar.imageio import read_table, write_table
+from netsar.patches import align_and_place
 
 SMALL = RunConfig(
     scene=SceneConfig(extent_m=200.0, resolution_m=1.0, reflector_count=12, seed=1),
@@ -166,8 +167,10 @@ def test_load_dataset_round_trip(tmp_path):
         )
         assert np.array_equal(loaded.samples, made.samples)
         assert np.array_equal(loaded.direction, made.direction)
-        for name in ("tx", "rx", "bistatic_scale", "region_center", "waveform"):
+        for name in ("tx", "rx", "bistatic_scale", "region_center", "waveform", "footprint"):
             assert getattr(loaded, name) == getattr(made, name), name
+        # alignment carries the footprint through unchanged
+        assert align_and_place(loaded).footprint == made.footprint
 
 
 def _with_nan(samples):
@@ -227,6 +230,14 @@ def _rename_channel_column(header, rows):
     header[header.index("channel")] = "chan"
 
 
+def _shift(row, column, delta):
+    def damage(header, rows):
+        col = header.index(column)
+        rows[row][col] = repr(float(rows[row][col]) + delta)
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -240,6 +251,13 @@ def _rename_channel_column(header, rows):
         (_set_cell(1, "center_y", "north"), "line 3, column center_y"),
         (lambda header, rows: rows[1].pop(), "line 3 has 9 fields"),
         (_rename_channel_column, r"no column \['channel'\]"),
+        (_set_cell(0, "tilt", "nan"), "line 2, column tilt"),
+        (_set_cell(1, "planar", "inf"), "line 3, column planar"),
+        (_set_cell(0, "tilt", "-0.1"), "line 2, column tilt: '-0.1' is not a valid beam"),
+        (_set_cell(1, "tilt", "1.5"), "line 3, column tilt: '1.5' is not a valid beam"),
+        (_shift(0, "center_x", 2e-6), "line 2, column center_x: .* is not the center"),
+        (_shift(1, "center_y", -2e-6), "line 3, column center_y: .* is not the center"),
+        (_shift(0, "planar", 0.1), "line 2, column center_[xy]: .* is not the center"),
     ],
     ids=[
         "index_past_the_end",
@@ -252,6 +270,13 @@ def _rename_channel_column(header, rows):
         "center_not_a_number",
         "row_short",
         "column_missing",
+        "tilt_not_finite",
+        "planar_not_finite",
+        "tilt_negative",
+        "beam_edge_past_the_horizon",
+        "center_x_off_the_beam",
+        "center_y_off_the_beam",
+        "planar_turns_the_beam",
     ],
 )
 def test_load_dataset_rejects_a_malformed_patch_table(
@@ -350,6 +375,45 @@ def test_reconstruction_manifest_does_not_depend_on_the_dataset_path(tmp_path):
     assert manifest == (tmp_path / "rec_b" / "manifest.txt").read_bytes()
     digest = hashlib.sha256((data / "manifest.txt").read_bytes()).hexdigest()
     assert f"dataset_manifest = {digest}" in manifest.decode()
+
+
+def test_no_reconstruction_reads_the_ground_truth(small_dataset, tmp_path):
+    blind = shutil.copytree(small_dataset, tmp_path / "blind")
+    (blind / "scene.csv").unlink()
+    (blind / "scene.pgm").unlink()
+    for algorithm in ("procedure2", "intersect", "procedure1", "isar"):
+        cfg = dataclasses.replace(
+            SMALL, reconstruction=ReconstructionConfig(algorithm=algorithm)
+        )
+        seen, unseen = tmp_path / algorithm / "seen", tmp_path / algorithm / "blind"
+        reconstruct_run(cfg, small_dataset, seen, seed=7)
+        reconstruct_run(cfg, blind, unseen, seed=7)
+        names = sorted(p.name for p in seen.iterdir())
+        assert names == sorted(p.name for p in unseen.iterdir()), algorithm
+        for name in names:
+            assert (seen / name).read_bytes() == (unseen / name).read_bytes(), name
+
+
+def test_reconstruct_isar_reports_a_rank_deficient_group(tmp_path):
+    # 2 antennas x 8 subcarriers: the largest group holds far fewer than
+    # the 8^3 voxels' worth of samples
+    cfg = dataclasses.replace(
+        SMALL,
+        network=dataclasses.replace(SMALL.network, antenna_count=2),
+        waveform=dataclasses.replace(SMALL.waveform, subcarrier_count=8),
+        reconstruction=ReconstructionConfig(algorithm="isar"),
+    )
+    data = tmp_path / "data"
+    assert simulate_run(cfg, data, seed=7) > 0
+    reconstruct_run(cfg, data, tmp_path / "rec", seed=7)
+    report = (tmp_path / "rec" / "report.txt").read_text().splitlines()
+    (rank,) = [int(line.split(" = ")[1]) for line in report if line.startswith("isar_rank")]
+    assert rank < 512
+    warning = (
+        f"isar_warning = sensing map rank {rank} < voxel count 512: "
+        "minimum-norm solution returned"
+    )
+    assert warning in report
 
 
 def test_reconstruct_needs_the_dataset_config(tmp_path):

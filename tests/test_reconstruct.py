@@ -208,8 +208,12 @@ def test_keystone_grid_matches_griddata_on_a_simulated_patch(tmp_path):
     _assert_grid_matches_griddata(patch)
 
 
-def _fuse_full_grid(images, extent, spacing, center, method):
-    """Reference fusion: every image sampled at every target pixel."""
+def _fuse_full_grid(images, extent, spacing, center, method, crop=False):
+    """Reference fusion: every image sampled at every target pixel.
+
+    With ``crop``, each image with a footprint is zeroed outside that
+    footprint's box (see ``_in_footprint_box``).
+    """
     nx = math.ceil(extent[0] / spacing)
     ny = math.ceil(extent[1] / spacing)
     xs = (np.arange(nx) - nx // 2) * spacing + center.x
@@ -227,6 +231,8 @@ def _fuse_full_grid(images, extent, spacing, center, method):
         sampled = map_coordinates(
             norm, np.stack([fi, fj]), order=1, mode="constant", cval=0.0
         )
+        if crop and img.footprint is not None:
+            sampled = sampled * _in_footprint_box(pts, img)
         fused = fused + sampled if method == "mean" else fused * sampled
     if method == "mean":
         fused /= len(images)
@@ -264,6 +270,80 @@ def test_fuse_images_equals_full_grid_sampling(method):
     assert fused.magnitude.shape == ref.shape
     assert np.count_nonzero(ref) > 0.1 * ref.size
     assert np.abs(fused.magnitude - ref).max() <= 1e-12
+
+
+def _in_footprint_box(pts, img):
+    """Which ground points lie in img's footprint box, widened by its pixel."""
+    f = img.footprint
+    # the ellipse's support along x and y: sqrt of the diagonal of R diag(a², b²) Rᵀ
+    rot = rotated_frame(
+        np.array([math.cos(f.major_axis_azimuth), math.sin(f.major_axis_azimuth)])
+    ).matrix.T
+    half = np.sqrt(np.diag(rot @ np.diag([f.semi_major**2, f.semi_minor**2]) @ rot.T))
+    half += max(img.pixel_spacing)
+    return np.all(np.abs(pts - f.center.horizontal()) <= half, axis=1)
+
+
+def _footprint(x, y, semi_major, eccentricity, azimuth):
+    return EllipseFootprint(
+        center=GroundPoint(x, y),
+        eccentricity=eccentricity,
+        semi_major=semi_major,
+        semi_minor=semi_major * math.sqrt(1.0 - eccentricity**2),
+        major_axis_azimuth=azimuth,
+    )
+
+
+@pytest.mark.parametrize("method", ["mean", "product"])
+def test_fuse_images_samples_only_inside_each_footprint_box(method):
+    rng = np.random.default_rng(11)
+    images = [
+        ReconstructedImage(
+            magnitude=rng.random((64, 48)),
+            pixel_spacing=(0.3, 0.35),
+            origin=GroundPoint(1.0, -1.0),
+            frame=rotated_frame(np.array([1.0, 1.0]) / math.sqrt(2.0)),
+            footprint=_footprint(1.3, -0.6, 3.1, 0.6, 0.4),
+        ),
+        # the footprint box reaches past the target grid's +x edge
+        ReconstructedImage(
+            magnitude=rng.random((80, 80)),
+            pixel_spacing=(0.2, 0.2),
+            origin=GroundPoint(8.0, 3.0),
+            frame=rotated_frame(np.array([math.cos(1.7), math.sin(1.7)])),
+            footprint=_footprint(7.9, 0.7, 6.2, 0.8, 2.5),
+        ),
+        # ground frame, no footprint: its whole pixel box is sampled
+        ReconstructedImage(
+            magnitude=rng.random((70, 50)),
+            pixel_spacing=(0.25, 0.3),
+            origin=GroundPoint(-1.0, 2.0),
+        ),
+    ]
+    extent, spacing, center = (20.0, 18.0), 0.1, GroundPoint(0.5, -0.25)
+    fused = fuse_images(images, extent, spacing, center=center, method=method)
+    ref = _fuse_full_grid(images, extent, spacing, center, method, crop=True)
+    assert fused.magnitude.shape == ref.shape
+    assert np.count_nonzero(ref) > 0.01 * ref.size
+    assert np.abs(fused.magnitude - ref).max() <= 1e-12
+    # the footprints do cut the images: the uncut fusion differs
+    uncut = _fuse_full_grid(images, extent, spacing, center, method)
+    assert np.abs(uncut - ref).max() > 0.1
+
+
+def test_fuse_warns_when_a_footprint_lies_off_the_grid():
+    img = ReconstructedImage(
+        magnitude=np.ones((40, 40)),
+        pixel_spacing=(0.5, 0.5),
+        origin=GroundPoint(0.0, 0.0),
+        footprint=_footprint(12.0, 0.0, 2.0, 0.5, 0.3),
+    )
+    # the image's pixels cover the grid, its footprint box does not
+    with pytest.warns(UserWarning, match="does not overlap"):
+        fused = fuse_images([img], (10.0, 10.0), 0.5)
+    assert not fused.magnitude.any()
+    uncut = fuse_images([dataclasses.replace(img, footprint=None)], (10.0, 10.0), 0.5)
+    assert uncut.magnitude.all()
 
 
 def test_fuse_product_localizes_where_mean_keeps_ridges():

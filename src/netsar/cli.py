@@ -40,7 +40,12 @@ from .errors import (
     MissingDatasetError,
     UnknownAlgorithmError,
 )
-from .forward import MeasurementPatch, WaveformSpec, synthesize_measurement
+from .forward import (
+    MeasurementPatch,
+    WaveformSpec,
+    illuminated_pixels,
+    synthesize_measurement,
+)
 from .geometry import BaseStation, BeamSpec, GroundPoint, beam_footprint
 from .imageio import read_table, write_pgm, write_table
 from .isar import (
@@ -205,23 +210,31 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
                 continue
             ch = int(channels[ti])
             wf = channel_waveform(cfg, ch)
-            for ri, rx in enumerate(stations):
-                if ri == ti:
-                    continue
-                if transmits[ri] and int(channels[ri]) == ch:
-                    continue
-                dist = np.linalg.norm(
+            receivers = [
+                rx
+                for ri, rx in enumerate(stations)
+                if ri != ti
+                and not (transmits[ri] and int(channels[ri]) == ch)
+                and np.linalg.norm(
                     rx.position.horizontal() - footprint.center.horizontal()
                 )
-                if dist > sch.max_receive_distance_m:
-                    continue
-                try:
-                    patch = synthesize_measurement(
-                        scene, tx, beam, rx, wf, footprint=footprint
-                    )
-                except EmptyFootprintError:
-                    skipped["outside_scene"] += 1
-                    continue
+                <= sch.max_receive_distance_m
+            ]
+            if not receivers:
+                continue
+            # the footprint test depends on the beam alone: classify it once
+            try:
+                _, values = illuminated_pixels(scene, footprint)
+            except EmptyFootprintError:
+                skipped["outside_scene"] += len(receivers)
+                continue
+            if values.size == 0:
+                skipped["dark_footprint"] += len(receivers)
+                continue
+            for rx in receivers:
+                patch = synthesize_measurement(
+                    scene, tx, beam, rx, wf, footprint=footprint
+                )
                 if not np.any(patch.samples):
                     skipped["dark_footprint"] += 1
                     continue

@@ -82,30 +82,16 @@ class MeasurementPatch:
             raise ValueError("sample grid must be (antenna_count, subcarrier_count)")
 
 
-def synthesize_measurement(
-    scene: Scene,
-    tx: BaseStation,
-    beam: BeamSpec,
-    rx: BaseStation,
-    wf: WaveformSpec,
-    noise_power: float = 0.0,
-    seed: int | None = None,
-    region_center: GroundPoint | None = None,
-    footprint: EllipseFootprint | None = None,
-) -> MeasurementPatch:
-    """Synthesize the patch a receiving station records from one beam.
+def illuminated_pixels(
+    scene: Scene, footprint: EllipseFootprint
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero scene pixels whose centers lie inside the footprint.
 
-    Sums the exact-geometry response of every illuminated scene pixel
-    (zero-reflectivity pixels contribute nothing and are skipped). The
-    region center defaults to the footprint center and anchors all
-    direction/distance metadata. Optional circular complex Gaussian
-    noise of the given per-sample power is added when noise_power > 0.
+    Returns (pixels, values): the (n, 3) pixel positions, heights
+    included, and their reflectivities, in the fixed order synthesis sums
+    them. Both are empty when every pixel the footprint covers is dark.
+    Raises EmptyFootprintError when no pixel center lies inside it.
     """
-    if footprint is None:
-        footprint = beam_footprint(tx, beam)
-    if region_center is None:
-        region_center = footprint.center
-
     xs, ys = scene.pixel_centers()
     # restrict to the footprint bounding box before the ellipse test
     ix = np.nonzero(np.abs(xs - footprint.center.x) <= footprint.semi_major)[0]
@@ -128,7 +114,35 @@ def synthesize_measurement(
     heights = (
         np.zeros(gx.size) if scene.height is None else scene.height[gx, gy]
     )
-    pix = np.stack([xs[gx], ys[gy], heights], axis=1)
+    return np.stack([xs[gx], ys[gy], heights], axis=1), values
+
+
+def synthesize_measurement(
+    scene: Scene,
+    tx: BaseStation,
+    beam: BeamSpec,
+    rx: BaseStation,
+    wf: WaveformSpec,
+    noise_power: float = 0.0,
+    seed: int | None = None,
+    region_center: GroundPoint | None = None,
+    footprint: EllipseFootprint | None = None,
+) -> MeasurementPatch:
+    """Synthesize the patch a receiving station records from one beam.
+
+    Sums the exact-geometry response of every illuminated scene pixel
+    (see ``illuminated_pixels``; zero-reflectivity pixels contribute
+    nothing and are skipped). The region center defaults to the footprint
+    center and anchors all direction/distance metadata. Optional circular
+    complex Gaussian noise of the given per-sample power is added when
+    noise_power > 0.
+    """
+    if footprint is None:
+        footprint = beam_footprint(tx, beam)
+    if region_center is None:
+        region_center = footprint.center
+
+    pix, values = illuminated_pixels(scene, footprint)
 
     rx_pos = rx.antenna_positions()
     tx_pos = tx.position.as_array()

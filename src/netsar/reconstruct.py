@@ -228,23 +228,28 @@ def fuse_images(
 
     Fusion is incoherent: each image is normalized to unit peak, sampled
     bilinearly at the target pixel centers, and combined by ``method``:
-    "mean" averages the normalized magnitudes, "product" multiplies them.
-    The product form suppresses the single-patch cross-range ridge (each
-    station's ambiguity is vetoed wherever another station is dark), so
+    "mean" averages the normalized magnitudes; "product" multiplies the
+    images of each footprint group (the patches of one transmit beam,
+    which share an equal ``footprint``; images without one form a group
+    of their own) and averages the group products. The product form
+    suppresses the single-patch cross-range ridge (each station's
+    ambiguity is vetoed wherever another station of the beam is dark), so
     the fused response localizes in both axes; the mean form preserves
-    relative brightness but keeps each ridge at half scale. The result is
-    renormalized to unit peak. A warning (not an error) is issued when an
-    input image does not overlap the target grid.
+    relative brightness but keeps each ridge at half scale. Averaging
+    across groups keeps beams that share no ground from zeroing each
+    other. The result is renormalized to unit peak. A warning (not an
+    error) is issued when an input image does not overlap the target
+    grid.
 
     An image is sampled only at the target pixels inside its sample box;
-    under "product" every pixel outside it is zero. The box is the
-    ground bounding box of the image's pixels widened by one pixel
-    (beyond its pixels bilinear sampling reads exactly 0). For an image
-    with a footprint it is cut to the axis-aligned bounding box of the
-    footprint ellipse, half-widths hypot(a cos(psi), b sin(psi)) and
-    hypot(a sin(psi), b cos(psi)), widened by the image's largest pixel
-    spacing: the cross-range sidelobes that reach beyond the lit ground
-    are left out.
+    a group's product is zero outside the intersection of its members'
+    boxes. The box is the ground bounding box of the image's pixels
+    widened by one pixel (beyond its pixels bilinear sampling reads
+    exactly 0). For an image with a footprint it is cut to the
+    axis-aligned bounding box of the footprint ellipse, half-widths
+    hypot(a cos(psi), b sin(psi)) and hypot(a sin(psi), b cos(psi)),
+    widened by the image's largest pixel spacing: the cross-range
+    sidelobes that reach beyond the lit ground are left out.
     """
     if not images:
         raise EmptyInputError("at least one image is required")
@@ -254,17 +259,16 @@ def fuse_images(
     xs = (np.arange(shape[0]) - shape[0] // 2) * spacing + center.x
     ys = (np.arange(shape[1]) - shape[1] // 2) * spacing + center.y
 
-    fused = np.zeros(shape) if method == "mean" else np.ones(shape)
-    ids: list[str] = []
-    for img in images:
+    def sample(img):
+        """(box low corner, box high corner, normalized samples in the box)."""
         peak = img.magnitude.max()
         norm = img.magnitude / peak if peak > 0 else img.magnitude
         mx, my = img.magnitude.shape
-        (a0, b0), (a1, b1) = _sample_box(img, shape, spacing, center)
+        lo, hi = _sample_box(img, shape, spacing, center)
         # fractional pixel indices are affine in the ground row and column
         rot = img.frame.matrix if img.frame is not None else np.eye(2)
         rot = rot / np.array(img.pixel_spacing)[:, None]
-        dx, dy = xs[a0:a1] - img.origin.x, ys[b0:b1] - img.origin.y
+        dx, dy = xs[lo[0]:hi[0]] - img.origin.x, ys[lo[1]:hi[1]] - img.origin.y
         index = np.empty((2, dx.size, dy.size))
         for axis, n in enumerate((mx, my)):
             np.add.outer(rot[axis, 0] * dx + n // 2, rot[axis, 1] * dy, out=index[axis])
@@ -272,16 +276,31 @@ def fuse_images(
         if not np.any(sampled > 0):
             warnings.warn(
                 f"image {img.contributing_patches} does not overlap the target grid",
-                stacklevel=2,
+                stacklevel=3,
             )
-        if method == "mean":
-            fused[a0:a1, b0:b1] += sampled
-        else:
-            fused[a0:a1, b0:b1] *= sampled
-            fused[:a0] = fused[a1:] = fused[:, :b0] = fused[:, b1:] = 0.0
-        ids.extend(img.contributing_patches)
+        return lo, hi, sampled
+
+    fused = np.zeros(shape)
     if method == "mean":
+        for img in images:
+            lo, hi, sampled = sample(img)
+            fused[_box(lo, hi)] += sampled
         fused /= len(images)
+    else:
+        groups: dict[EllipseFootprint | None, list[ReconstructedImage]] = {}
+        for img in images:
+            groups.setdefault(img.footprint, []).append(img)
+        for group in groups.values():
+            lo, hi, product = sample(group[0])
+            for img in group[1:]:
+                img_lo, img_hi, sampled = sample(img)
+                new_lo = np.maximum(lo, img_lo)
+                new_hi = np.maximum(np.minimum(hi, img_hi), new_lo)
+                product = product[_box(new_lo - lo, new_hi - lo)]
+                product *= sampled[_box(new_lo - img_lo, new_hi - img_lo)]
+                lo, hi = new_lo, new_hi
+            fused[_box(lo, hi)] += product
+        fused /= len(groups)
     peak = fused.max()
     if peak > 0:
         fused /= peak
@@ -289,8 +308,12 @@ def fuse_images(
         magnitude=fused,
         pixel_spacing=(spacing, spacing),
         origin=center,
-        contributing_patches=tuple(ids),
+        contributing_patches=tuple(i for img in images for i in img.contributing_patches),
     )
+
+
+def _box(lo, hi) -> tuple[slice, slice]:
+    return slice(lo[0], hi[0]), slice(lo[1], hi[1])
 
 
 def _sample_box(img: ReconstructedImage, shape, spacing: float, center: GroundPoint):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +33,14 @@ from netsar.config import (
 from netsar.errors import (
     ConfigError,
     CorruptDatasetError,
+    EmptyFootprintError,
+    InvalidBeamError,
     MissingDatasetError,
     UnknownAlgorithmError,
 )
 from netsar.forward import synthesize_measurement
-from netsar.geometry import BeamSpec
-from netsar.imageio import read_table, write_table
+from netsar.geometry import BeamSpec, beam_footprint
+from netsar.imageio import read_pgm, read_table, write_table
 from netsar.patches import align_and_place
 
 SMALL = RunConfig(
@@ -134,6 +137,78 @@ def test_receive_distance_limit(tmp_path):
     )
     out = tmp_path / "near"
     assert simulate_run(near, out, seed=7) == 0
+
+
+def _simulate_pair_by_pair(cfg, seed):
+    """simulate_run's schedule, synthesizing every eligible (beam, receiver)
+    pair: (recorded sample blocks, skip counts, beams per outcome)."""
+    scene = build_scene(cfg)
+    stations = build_network(cfg)
+    sch = cfg.schedule
+    blocks, skipped, beams = [], Counter(), Counter()
+    for slot_seed in np.random.SeedSequence(seed).spawn(sch.slot_count):
+        rng = np.random.default_rng(slot_seed)
+        transmits = rng.random(len(stations)) < sch.transmit_probability
+        channels = rng.integers(0, sch.channel_count, size=len(stations))
+        for ti, tx in enumerate(stations):
+            if not transmits[ti]:
+                continue
+            radius = cfg.beam.aim_radius_m * math.sqrt(rng.random())
+            azimuth = rng.uniform(0.0, 2.0 * math.pi)
+            dx, dy = radius * math.cos(azimuth), radius * math.sin(azimuth)
+            try:
+                beam = BeamSpec(
+                    open_angle=math.radians(cfg.beam.open_angle_deg),
+                    tilt_angle=math.atan2(math.hypot(dx, dy), tx.height),
+                    planar_angle=azimuth,
+                )
+                footprint = beam_footprint(tx, beam)
+            except InvalidBeamError:
+                skipped["invalid_beam"] += 1
+                continue
+            wf = channel_waveform(cfg, int(channels[ti]))
+            outcomes = set()
+            for ri, rx in enumerate(stations):
+                if ri == ti or (transmits[ri] and channels[ri] == channels[ti]):
+                    continue
+                reach = rx.position.horizontal() - footprint.center.horizontal()
+                if np.linalg.norm(reach) > sch.max_receive_distance_m:
+                    continue
+                try:
+                    patch = synthesize_measurement(scene, tx, beam, rx, wf, footprint=footprint)
+                except EmptyFootprintError:
+                    outcome = "outside_scene"
+                else:
+                    outcome = "recorded" if np.any(patch.samples) else "dark_footprint"
+                if outcome == "recorded":
+                    blocks.append(patch.samples)
+                else:
+                    skipped[outcome] += 1
+                outcomes.add(outcome)
+            beams.update(outcomes)
+    return blocks, skipped, beams
+
+
+def test_simulate_classifies_each_beam_as_a_pair_by_pair_loop_does(tmp_path, monkeypatch):
+    blocks, skipped, beams = _simulate_pair_by_pair(SMALL, seed=7)
+    # the config exercises every class of beam
+    assert beams["outside_scene"] and beams["dark_footprint"] and beams["recorded"]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return synthesize_measurement(*args, **kwargs)
+
+    monkeypatch.setattr(netsar.cli, "synthesize_measurement", counted)
+    out = tmp_path / "run"
+    assert simulate_run(SMALL, out, seed=7) == len(blocks)
+    # only the receivers of lit beams synthesize
+    assert len(calls) == len(blocks)
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    counts = dict(line.split(" = ") for line in manifest if line.startswith("skipped."))
+    assert counts == {f"skipped.{reason}": str(n) for reason, n in skipped.items()}
+    np.save(tmp_path / "reference.npy", np.stack(blocks))
+    assert (out / "samples.npy").read_bytes() == (tmp_path / "reference.npy").read_bytes()
 
 
 def test_load_dataset_round_trip(tmp_path):
@@ -392,6 +467,17 @@ def test_no_reconstruction_reads_the_ground_truth(small_dataset, tmp_path):
         assert names == sorted(p.name for p in unseen.iterdir()), algorithm
         for name in names:
             assert (seen / name).read_bytes() == (unseen / name).read_bytes(), name
+
+
+def test_product_fusion_of_a_multi_beam_dataset_is_not_blank(small_dataset, tmp_path):
+    footprints = {p.footprint for p in load_dataset(SMALL, small_dataset)}
+    assert len(footprints) > 1
+    cfg = dataclasses.replace(
+        SMALL,
+        reconstruction=ReconstructionConfig(algorithm="procedure2", fusion_method="product"),
+    )
+    reconstruct_run(cfg, small_dataset, tmp_path, seed=7)
+    assert np.count_nonzero(read_pgm(tmp_path / "fused.pgm")) > 0
 
 
 def test_reconstruct_isar_reports_a_rank_deficient_group(tmp_path):

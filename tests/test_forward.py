@@ -5,7 +5,12 @@ import pytest
 
 from netsar.constants import SPEED_OF_LIGHT
 from netsar.errors import DegenerateGeometryError, EmptyFootprintError
-from netsar.forward import MeasurementPatch, WaveformSpec, synthesize_measurement
+from netsar.forward import (
+    MeasurementPatch,
+    WaveformSpec,
+    illuminated_pixels,
+    synthesize_measurement,
+)
 from netsar.geometry import BaseStation, BeamSpec, EllipseFootprint, GroundPoint
 from netsar.scene import Scene
 
@@ -96,6 +101,25 @@ def test_forward_skips_pixels_outside_footprint():
     a = synthesize_measurement(both, tx, BEAM, rx, WF, **kwargs)
     b = synthesize_measurement(only, tx, BEAM, rx, WF, **kwargs)
     assert np.array_equal(a.samples, b.samples)
+
+
+def test_illuminated_pixels_reads_the_scene_it_is_given():
+    # one footprint object, several scenes: nothing may carry over between them
+    inside = [((0.0, 0.0), 1.0 + 0.0j), ((3.0, -4.0), 2.0 - 1.0j)]
+    other = [((-5.0, 7.0), 0.5j)]
+    outside = ((18.0, 18.0), 1.0 + 0.0j)  # radius ~25.5 > 25
+    for points in (inside + [outside], other, inside):
+        scene = _sparse_scene(points)
+        pixels, values = illuminated_pixels(scene, FOOTPRINT)
+        xs, ys = scene.pixel_centers()
+        ix, iy = np.nonzero(scene.reflectivity)
+        lit = np.hypot(xs[ix], ys[iy]) <= FOOTPRINT.semi_major
+        ix, iy = ix[lit], iy[lit]
+        assert np.array_equal(pixels, np.stack([xs[ix], ys[iy], np.zeros(ix.size)], axis=1))
+        assert np.array_equal(values, scene.reflectivity[ix, iy])
+    # a footprint over dark pixels only: empty arrays, not an error
+    pixels, values = illuminated_pixels(_sparse_scene([outside]), FOOTPRINT)
+    assert pixels.shape == (0, 3) and values.size == 0
 
 
 def test_forward_empty_footprint_raises():

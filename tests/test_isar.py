@@ -64,6 +64,17 @@ def test_sensing_tensor_matches_forward_sum():
         assert abs(meas[s_idx] - expected) < 1e-10 * abs(expected)
 
 
+def test_sensing_tensor_phase_is_the_real_product():
+    # survey-sized: about 1,500 k-vectors and an 8^3 grid
+    rng = np.random.default_rng(3)
+    kvecs = rng.normal(scale=100.0, size=(1500, 3))
+    grid = VoxelGrid(M_side=8, spacing=25.0)
+    samples = [WavenumberSample(k_vector=k) for k in kvecs]
+    tensor = build_sensing_tensor(samples, grid, 0.5 - 0.25j)
+    expected = (0.5 - 0.25j) * np.exp(-1j * (kvecs @ grid.voxel_positions().T))
+    assert tensor.tobytes() == expected.tobytes()
+
+
 def test_inversion_recovers_field_exactly():
     grid = VoxelGrid(M_side=3, spacing=0.4)
     samples = _dense_samples(3, 0.4, oversample=2)

@@ -211,8 +211,9 @@ def test_keystone_grid_matches_griddata_on_a_simulated_patch(tmp_path):
 def _fuse_full_grid(images, extent, spacing, center, method, crop=False):
     """Reference fusion: every image sampled at every target pixel.
 
-    With ``crop``, each image with a footprint is zeroed outside that
-    footprint's box (see ``_in_footprint_box``).
+    "product" multiplies the images of equal footprint and averages the
+    group products. With ``crop``, each image with a footprint is zeroed
+    outside that footprint's box (see ``_in_footprint_box``).
     """
     nx = math.ceil(extent[0] / spacing)
     ny = math.ceil(extent[1] / spacing)
@@ -220,7 +221,8 @@ def _fuse_full_grid(images, extent, spacing, center, method, crop=False):
     ys = (np.arange(ny) - ny // 2) * spacing + center.y
     px, py = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([px.ravel(), py.ravel()], axis=1)
-    fused = np.zeros(nx * ny) if method == "mean" else np.ones(nx * ny)
+    fused = np.zeros(nx * ny)
+    products = {}
     for img in images:
         norm = img.magnitude / img.magnitude.max()
         off = pts - img.origin.horizontal()[None, :]
@@ -233,9 +235,14 @@ def _fuse_full_grid(images, extent, spacing, center, method, crop=False):
         )
         if crop and img.footprint is not None:
             sampled = sampled * _in_footprint_box(pts, img)
-        fused = fused + sampled if method == "mean" else fused * sampled
+        if method == "mean":
+            fused = fused + sampled
+        else:
+            products[img.footprint] = products.get(img.footprint, 1.0) * sampled
     if method == "mean":
         fused /= len(images)
+    else:
+        fused = sum(products.values()) / len(products)
     return (fused / fused.max()).reshape(nx, ny)
 
 
@@ -329,6 +336,27 @@ def test_fuse_images_samples_only_inside_each_footprint_box(method):
     # the footprints do cut the images: the uncut fusion differs
     uncut = _fuse_full_grid(images, extent, spacing, center, method)
     assert np.abs(uncut - ref).max() > 0.1
+
+
+def test_fuse_product_multiplies_within_a_footprint_group_and_averages_across():
+    rng = np.random.default_rng(13)
+    near, far = _footprint(-4.0, 1.0, 3.0, 0.5, 0.3), _footprint(5.0, -2.0, 2.5, 0.4, 1.1)
+    images = [
+        ReconstructedImage(
+            magnitude=rng.random((60, 60)),
+            pixel_spacing=(0.2, 0.2),
+            origin=GroundPoint(x, y),
+            footprint=f,
+        )
+        for x, y, f in ((-4.0, 1.0, near), (-3.5, 0.5, near), (5.0, -2.0, far))
+    ]
+    extent, spacing, center = (20.0, 18.0), 0.1, GroundPoint(0.5, -0.25)
+    fused = fuse_images(images, extent, spacing, center=center, method="product")
+    ref = _fuse_full_grid(images, extent, spacing, center, "product", crop=True)
+    assert np.abs(fused.magnitude - ref).max() <= 1e-12
+    # the two beams share no ground, and each still shows
+    west, east = np.split(fused.magnitude, 2)
+    assert west.any() and east.any()
 
 
 def test_fuse_warns_when_a_footprint_lies_off_the_grid():

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .constants import SPEED_OF_LIGHT
 from .forward import WaveformSpec
@@ -32,6 +31,10 @@ def projection_slice_check(
     angles hit padded-grid nodes exactly, so the error there is pure
     floating-point noise.
     """
+    # SciPy's cubic spline is needed here only; importing it at module level
+    # would cost every netsar command about 0.4 s
+    from scipy.ndimage import map_coordinates
+
     image = np.asarray(image)
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise ValueError("image must be a square 2-D grid")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 import warnings
 from collections import Counter
@@ -529,7 +530,17 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
             voxels, rank = invert_sensing_tensor(tensor, values, grid)
         voxel_grid_to_csv(voxels, out / "voxels.csv")
         voxel_grid_slices_to_pgm(voxels, out, stem="voxels")
-        report += [f"isar_samples = {values.size}", f"isar_rank = {rank}"]
+        # the solve's last bits depend on how BLAS splits it across threads
+        blas_threads = (
+            os.environ.get("OPENBLAS_NUM_THREADS")
+            or os.environ.get("OMP_NUM_THREADS")
+            or f"cpus:{os.cpu_count()}"
+        )
+        report += [
+            f"isar_samples = {values.size}",
+            f"isar_rank = {rank}",
+            f"isar_blas_threads = {blas_threads}",
+        ]
         report += [f"isar_warning = {w.message}" for w in caught]
     else:
         raise UnknownAlgorithmError(f"unknown algorithm {algorithm!r}")

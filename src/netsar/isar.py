@@ -2,9 +2,12 @@
 
 Each (antenna, subcarrier) measurement is a sample of the 3-D source
 spectrum at one wavenumber vector. Collecting K such samples gives a
-dense K x M^3 linear map onto a voxel grid, inverted with a truncated
-SVD pseudo-inverse. This is a desk-scale verification path, so the grid
-is capped at M_side <= 16 and everything is dense.
+dense K x M^3 linear map onto a voxel grid, inverted by LAPACK's
+``gelsd`` minimum-norm least-squares solve: singular values at most
+tol * sigma_max count as zero, and neither U nor the pseudo-inverse is
+formed; ``pseudo_inverse`` (one truncated SVD) is its oracle. This is a
+desk-scale verification path, so the grid is capped at M_side <= 16 and
+everything is dense.
 """
 
 from __future__ import annotations
@@ -101,13 +104,16 @@ def invert_sensing_tensor(
     grid: VoxelGrid,
     svd_tolerance: float = 1e-10,
 ) -> tuple[VoxelGrid, int]:
-    """Minimum-norm voxel recovery through a truncated-SVD pseudo-inverse.
+    """Minimum-norm voxel recovery by one ``gelsd`` least-squares solve.
 
-    Singular values below svd_tolerance * sigma_max are discarded. On a
-    full-column-rank noise-free instance the recovery is exact to
-    numerical precision; rank-deficient instances get the minimum-norm
-    solution plus a diagnostic warning. Returns (grid copy with values,
-    effective rank).
+    ``np.linalg.lstsq`` (LAPACK ``gelsd``) treats singular values at
+    most svd_tolerance * sigma_max as zero, the truncation rule of
+    ``pseudo_inverse``, and returns the minimum-norm solution
+    ``pseudo_inverse(tensor) @ measurements`` without forming U or the
+    pseudo-inverse. On a full-column-rank noise-free instance the
+    recovery is exact to numerical precision; rank-deficient instances
+    get the minimum-norm solution plus a diagnostic warning. Returns
+    (grid copy with values, effective rank).
     """
     measurements = np.asarray(measurements)
     n_vox = grid.M_side ** 3
@@ -116,14 +122,14 @@ def invert_sensing_tensor(
             f"tensor shape {tensor.shape} inconsistent with "
             f"{measurements.shape[0]} measurements and {n_vox} voxels"
         )
-    inv, rank = _truncated_pinv(tensor, svd_tolerance)
+    rho, _, rank, _ = np.linalg.lstsq(tensor, measurements, rcond=svd_tolerance)
+    rank = int(rank)
     if rank < n_vox:
         warnings.warn(
             f"sensing map rank {rank} < voxel count {n_vox}: "
             "minimum-norm solution returned",
             stacklevel=2,
         )
-    rho = inv @ measurements
     out = VoxelGrid(
         M_side=grid.M_side, spacing=grid.spacing, values=rho.reshape(grid.shape)
     )

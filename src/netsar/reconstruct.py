@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .constants import SPEED_OF_LIGHT
 from .errors import DegenerateStepError, EmptyInputError, IndexOverflowError
@@ -272,7 +271,7 @@ def fuse_images(
         index = np.empty((2, dx.size, dy.size))
         for axis, n in enumerate((mx, my)):
             np.add.outer(rot[axis, 0] * dx + n // 2, rot[axis, 1] * dy, out=index[axis])
-        sampled = map_coordinates(norm, index, order=1, mode="constant")
+        sampled = _bilinear(norm, index)
         if not np.any(sampled > 0):
             warnings.warn(
                 f"image {img.contributing_patches} does not overlap the target grid",
@@ -310,6 +309,33 @@ def fuse_images(
         origin=center,
         contributing_patches=tuple(i for img in images for i in img.contributing_patches),
     )
+
+
+def _bilinear(image: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Bilinear samples of a 2-D image (each axis at least 2 long) at the
+    fractional pixel indices ``index[0]``, ``index[1]``.
+
+    Points inside [0, n-1] on both axes are interpolated; every other
+    point reads exactly 0. The weights and the order of the sum are
+    those of ``scipy.ndimage.map_coordinates(order=1, mode="constant")``,
+    so the two agree to the bit.
+    """
+    mx, my = image.shape
+    x, y = index
+    inside = (x >= 0) & (x <= mx - 1) & (y >= 0) & (y <= my - 1)
+    # the last cell also serves its upper edge, where the upper weight is 1
+    x0 = np.clip(np.floor(x), 0, mx - 2)
+    y0 = np.clip(np.floor(y), 0, my - 2)
+    wx0 = 1.0 - (x - x0)
+    wy0 = 1.0 - (y - y0)
+    wx1, wy1 = 1.0 - wx0, 1.0 - wy0
+    corner = x0.astype(np.intp) * my + y0.astype(np.intp)
+    flat = image.ravel()
+    value = flat[corner] * wx0 * wy0
+    value += flat[corner + 1] * wx0 * wy1
+    value += flat[corner + my] * wx1 * wy0
+    value += flat[corner + (my + 1)] * wx1 * wy1
+    return np.where(inside, value, 0.0)
 
 
 def _box(lo, hi) -> tuple[slice, slice]:

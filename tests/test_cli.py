@@ -365,9 +365,29 @@ def test_load_dataset_rejects_a_malformed_patch_table(
         load_dataset(SMALL, out)
 
 
-def test_importing_the_cli_leaves_scipy_interpolate_unloaded():
+ALGORITHMS = ("intersect", "procedure1", "procedure2", "isar", "3d")
+
+
+def test_importing_the_cli_leaves_scipy_interpolate_unloaded(tmp_path):
+    # SciPy is needed only by `analyze slice-check`: importing the CLI,
+    # simulating and every reconstruction must load no scipy module
     src = Path(netsar.__file__).resolve().parents[1]
-    code = "import sys, netsar.cli; print('scipy.interpolate' in sys.modules)"
+    save_config(SMALL, tmp_path / "small.cfg")
+    code = f"""
+import dataclasses, sys
+from pathlib import Path
+import netsar.cli
+from netsar.config import ReconstructionConfig, load_config
+print('scipy.interpolate' in sys.modules)
+out = Path({str(tmp_path)!r})
+cfg = load_config(out / "small.cfg")
+netsar.cli.simulate_run(cfg, out / "data", seed=7)
+for algorithm in {ALGORITHMS!r}:
+    reconstruction = ReconstructionConfig(algorithm=algorithm, height_plane_count=8)
+    rcfg = dataclasses.replace(cfg, reconstruction=reconstruction)
+    netsar.cli.reconstruct_run(rcfg, out / "data", out / algorithm, seed=7)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -375,7 +395,9 @@ def test_importing_the_cli_leaves_scipy_interpolate_unloaded():
         check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split("\n")[:2] == ["False", "[]"]
+    for algorithm in ALGORITHMS:
+        assert (tmp_path / algorithm / "report.txt").is_file(), algorithm
 
 
 def test_load_dataset_names_a_station_missing_from_the_config(tmp_path):
@@ -500,6 +522,24 @@ def test_reconstruct_isar_reports_a_rank_deficient_group(tmp_path):
         "minimum-norm solution returned"
     )
     assert warning in report
+
+
+@pytest.mark.parametrize(
+    "openblas, omp, expected",
+    [("1", "4", "1"), (None, "4", "4"), (None, None, f"cpus:{os.cpu_count()}")],
+)
+def test_reconstruct_isar_reports_the_blas_thread_count(
+    small_dataset, tmp_path, monkeypatch, openblas, omp, expected
+):
+    for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    cfg = dataclasses.replace(SMALL, reconstruction=ReconstructionConfig(algorithm="isar"))
+    reconstruct_run(cfg, small_dataset, tmp_path, seed=7)
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    assert f"isar_blas_threads = {expected}" in report
 
 
 def test_reconstruct_needs_the_dataset_config(tmp_path):

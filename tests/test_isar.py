@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,9 +88,8 @@ def test_inversion_recovers_field_exactly():
     assert np.abs(out.values.reshape(27) - field).max() < 1e-8
 
 
-def test_rank_deficient_warns_minimum_norm():
-    grid = VoxelGrid(M_side=3, spacing=0.4)
-    # a single linear array samples only one k-plane: rank < 27
+def _single_array_tensor(grid):
+    """A single linear array samples only one k-plane: rank < M_side^3."""
     antennas = np.stack([np.linspace(-1, 1, 8), np.zeros(8), np.full(8, 50.0)], axis=1)
     units = antennas / np.linalg.norm(antennas, axis=1)[:, None]
     samples = [
@@ -96,11 +97,53 @@ def test_rank_deficient_warns_minimum_norm():
         for u in units
         for f in np.linspace(5e9, 5.1e9, 6)
     ]
-    A = build_sensing_tensor(samples, grid)
-    meas = np.zeros(len(samples), complex)
+    return build_sensing_tensor(samples, grid)
+
+
+def test_rank_deficient_warns_minimum_norm():
+    grid = VoxelGrid(M_side=3, spacing=0.4)
+    A = _single_array_tensor(grid)
+    meas = np.zeros(A.shape[0], complex)
     with pytest.warns(UserWarning, match="rank"):
         out, rank = invert_sensing_tensor(A, meas, grid)
     assert rank < 27
+
+
+def _graded_tensor(grid, rng):
+    """Singular values on both sides of the 1e-10 cut: 1 down to 1e-5, then 1e-13."""
+    n = grid.M_side**3
+    u, _ = np.linalg.qr(rng.normal(size=(2 * n, n)) + 1j * rng.normal(size=(2 * n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    s = np.concatenate([np.logspace(0, -5, n - 3), np.full(3, 1e-13)])
+    return (u * s) @ v.conj().T
+
+
+@pytest.mark.parametrize("tensor", ["full", "deficient", "graded"])
+def test_inversion_equals_the_pseudo_inverse_oracle(tensor):
+    grid = VoxelGrid(M_side=3, spacing=0.4)
+    rng = np.random.default_rng(4)
+    A = {
+        "full": lambda: build_sensing_tensor(_dense_samples(3, 0.4, oversample=2), grid),
+        "deficient": lambda: _single_array_tensor(grid),
+        "graded": lambda: _graded_tensor(grid, rng),
+    }[tensor]()
+    meas = rng.normal(size=A.shape[0]) + 1j * rng.normal(size=A.shape[0])
+    s = np.linalg.svd(A, compute_uv=False)
+    svd_rank = int(np.sum(s > 1e-10 * s[0]))
+    deficient = svd_rank < 27
+    assert deficient == (tensor != "full")
+    expected = pseudo_inverse(A) @ meas
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out, rank = invert_sensing_tensor(A, meas, grid)
+    assert type(rank) is int and rank == svd_rank
+    assert [str(w.message) for w in caught] == (
+        [f"sensing map rank {rank} < voxel count 27: minimum-norm solution returned"]
+        if deficient
+        else []
+    )
+    got = out.values.reshape(-1)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_pseudo_inverse_properties():

@@ -22,6 +22,7 @@ from netsar.patches import align_and_place, wavenumber_vectors
 from netsar.reconstruct import (
     ReconstructedImage,
     ReflectorEstimate,
+    _bilinear,
     _keystone_grid,
     bin_spectrum,
     estimate_height,
@@ -277,6 +278,30 @@ def test_fuse_images_equals_full_grid_sampling(method):
     assert fused.magnitude.shape == ref.shape
     assert np.count_nonzero(ref) > 0.1 * ref.size
     assert np.abs(fused.magnitude - ref).max() <= 1e-12
+
+
+def test_bilinear_equals_map_coordinates_order_1():
+    rng = np.random.default_rng(11)
+    mx, my = 7, 12
+    image = rng.normal(size=(mx, my))
+
+    def axis_points(n):
+        edges = [0.0, n - 1.0]
+        just_outside = [-1e-12, -0.5, -0.999, n - 1 + 1e-12, n - 0.5, n - 0.001]
+        far = [-1e6, -3.0, n + 2.0, 1e6]
+        return np.concatenate([edges, just_outside, far, rng.uniform(0, n - 1, 12)])
+
+    xs, ys = axis_points(mx), axis_points(my)
+    index = np.stack(np.meshgrid(xs, ys, indexing="ij"))
+    ours = _bilinear(image, index)
+    oracle = map_coordinates(image, index, order=1, mode="constant")
+    assert ours.shape == oracle.shape == (xs.size, ys.size)
+    assert np.abs(ours - oracle).max() <= 1e-15
+    assert np.array_equal(ours == 0, oracle == 0)
+    inside = np.logical_and.outer((xs >= 0) & (xs <= mx - 1), (ys >= 0) & (ys <= my - 1))
+    assert np.all(oracle[~inside] == 0) and np.all(oracle[inside] != 0)
+    # the exact edges read the edge pixels
+    assert ours[1, 1] == image[-1, -1] and ours[0, 0] == image[0, 0]
 
 
 def _in_footprint_box(pts, img):

@@ -3,7 +3,7 @@
 Three independent strands: the projection-slice identity used as an
 oracle for spectrum-domain reasoning, closed-form resolution figures,
 and a 1-D statistical model of reconstruction from randomly placed
-spectrum windows (impulse response, sidelobe statistics, and the 1/N
+spectrum windows (sidelobe statistics and the Monte Carlo 1/N
 mean-squared-error law).
 """
 
@@ -140,17 +140,6 @@ def reconstruct_1d(model: OneDimModel) -> tuple[np.ndarray, list[np.ndarray]]:
     return total, per_window
 
 
-def dirichlet_kernel(P: int, width: int) -> np.ndarray:
-    """Impulse response of one width-bin window: IDFT of the indicator.
-
-    The discrete counterpart of the sinc; normalized to unit peak at
-    x = 0 (d[0] = 1).
-    """
-    ind = _window_indicator(P, width, 0.0)
-    d = np.fft.ifft(ind)
-    return d / d[0]
-
-
 def sidelobe_statistics(
     N: int,
     x_grid: np.ndarray,
@@ -194,26 +183,6 @@ def sidelobe_statistics(
         "trials": trials,
         "N": N,
     }
-
-
-def mse_prediction(g: np.ndarray, N: int, window_width: int) -> np.ndarray:
-    """Per-pixel predicted reconstruction MSE for N random windows.
-
-    pred(x) = |g(x)|^2 / (2 N^3) * sum_t d^2(t)
-            + (1/N) * sum_t |g(t)|^2 d^2(x - t),
-    with d the unit-peak Dirichlet kernel of one window; both terms
-    shrink as 1/N or faster.
-    """
-    g = np.asarray(g)
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    P = g.size
-    d2 = np.abs(dirichlet_kernel(P, window_width)) ** 2
-    power = np.abs(g) ** 2
-    sidelobe_sum = float(d2.sum())
-    # circular convolution of |g|^2 with d^2
-    conv = np.real(np.fft.ifft(np.fft.fft(power) * np.fft.fft(d2)))
-    return power * sidelobe_sum / (2.0 * N ** 3) + conv / N
 
 
 def _unit_energy(v: np.ndarray) -> np.ndarray:

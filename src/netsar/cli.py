@@ -400,11 +400,11 @@ def _report_header(cfg: RunConfig, n_patches: int) -> list[str]:
     ]
 
 
-def _largest_center_group(patches):
-    groups: dict[tuple, list] = {}
+def _largest_beam_group(patches):
+    """The patches of the beam most receivers recorded (the first such beam)."""
+    groups: dict = {}
     for p in patches:
-        key = (round(p.region_center.x, 6), round(p.region_center.y, 6))
-        groups.setdefault(key, []).append(p)
+        groups.setdefault(p.footprint, []).append(p)
     return max(groups.values(), key=len)
 
 
@@ -475,7 +475,7 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         write_pgm(fused.magnitude, out / "fused.pgm")
         report.append(f"fused_pixels = {fused.magnitude.shape}")
     elif algorithm == "procedure1":
-        aligned = [align_and_place(p) for p in _largest_center_group(raw)]
+        aligned = [align_and_place(p) for p in _largest_beam_group(raw)]
         wf_top = channel_waveform(cfg, cfg.schedule.channel_count - 1)
         k_max = (
             4.0 * np.pi * (wf_top.carrier_frequency + wf_top.bandwidth) / SPEED_OF_LIGHT
@@ -516,7 +516,7 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         write_pgm(filled, out / "height.pgm")
         report.append(f"height_pixels = {int(valid.sum())}")
     elif algorithm == "isar":
-        group = _largest_center_group(raw)
+        group = _largest_beam_group(raw)
         kvecs = np.concatenate([wavenumber_vectors(p).reshape(-1, 3) for p in group])
         values = np.concatenate([align_distance(p).samples.reshape(-1) for p in group])
         stride = max(1, kvecs.shape[0] // 1500)

@@ -21,8 +21,7 @@ from .geometry import (
     EllipseFootprint,
     GroundPoint,
     beam_footprint,
-    bistatic_direction,
-    bistatic_factor,
+    bistatic_look,
     points_in_footprint,
 )
 from .scene import Scene
@@ -75,9 +74,9 @@ class MeasurementPatch:
     bistatic_scale: float = field(init=False)
 
     def __post_init__(self):
-        tx, rx, center = self.tx.position, self.rx.position, self.region_center
-        object.__setattr__(self, "direction", bistatic_direction(tx, rx, center))
-        object.__setattr__(self, "bistatic_scale", bistatic_factor(tx, rx, center))
+        direction, scale = bistatic_look(self.tx.position, self.rx.position, self.region_center)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "bistatic_scale", scale)
         if self.samples.shape != (self.rx.antenna_count, self.waveform.subcarrier_count):
             raise ValueError("sample grid must be (antenna_count, subcarrier_count)")
 

@@ -125,56 +125,34 @@ class EllipseFootprint:
             raise ValueError("semi_minor inconsistent with semi_major and eccentricity")
 
 
-def _rebased(p: GroundPoint, center: GroundPoint) -> np.ndarray:
-    return p.as_array() - center.as_array()
+def bistatic_look(
+    tx: GroundPoint, rx: GroundPoint, center: GroundPoint
+) -> tuple[np.ndarray, float]:
+    """Composite look direction and bistatic scale factor at a region center.
 
-
-_ORIGIN = GroundPoint(0.0, 0.0, 0.0)
-
-
-def bistatic_sum(tx: GroundPoint, rx: GroundPoint, center: GroundPoint = _ORIGIN) -> np.ndarray:
-    """Sum of the unit vectors from the region center toward tx and rx.
-
-    This is the unnormalized composite direction; its norm is the bistatic
-    scale factor (2 for monostatic, shrinking with the bistatic angle).
+    Sums the unit vectors from the center toward tx and rx and keeps the
+    ground-plane part: its norm is the range scale factor (2 for
+    monostatic, shrinking with the bistatic angle) and its direction the
+    unit look direction. Equal-travel-time loci are straight lines
+    perpendicular to that direction under the far-field approximation.
     """
-    r1 = _rebased(tx, center)
-    r2 = _rebased(rx, center)
+    r1 = tx.as_array() - center.as_array()
+    r2 = rx.as_array() - center.as_array()
     n1 = np.linalg.norm(r1)
     n2 = np.linalg.norm(r2)
     if n1 <= 0 or n2 <= 0:
         raise ValueError("station coincides with the region center")
-    return r1 / n1 + r2 / n2
-
-
-def bistatic_direction(
-    tx: GroundPoint, rx: GroundPoint, center: GroundPoint = _ORIGIN
-) -> np.ndarray:
-    """Unit composite look direction in the ground plane.
-
-    Equal-travel-time loci are straight lines perpendicular to this
-    vector under the far-field approximation.
-    """
-    s = bistatic_sum(tx, rx, center)[:2]
-    norm = np.linalg.norm(s)
-    if norm < _DEGENERATE_EPS:
+    s = (r1 / n1 + r2 / n2)[:2]
+    scale = float(np.linalg.norm(s))
+    if scale < _DEGENERATE_EPS:
         raise DegenerateGeometryError(
             "tx and rx directions cancel; composite direction undefined"
         )
-    return s / norm
-
-
-def bistatic_factor(
-    tx: GroundPoint, rx: GroundPoint, center: GroundPoint = _ORIGIN
-) -> float:
-    """Horizontal norm of the composite direction sum (range scale factor)."""
-    return float(np.linalg.norm(bistatic_sum(tx, rx, center)[:2]))
+    return s / scale, scale
 
 
 def beam_footprint(bs: BaseStation, beam: BeamSpec) -> EllipseFootprint:
     """Ground ellipse illuminated by a tilted cone from the station apex."""
-    if beam.tilt_angle + beam.open_angle / 2 >= math.pi / 2:
-        raise InvalidBeamError("cone edge parallel to ground")
     h = bs.height
     phi = beam.tilt_angle
     theta = beam.open_angle
@@ -241,7 +219,3 @@ class RotatedFrame:
         """(range, cross) patch coordinates back to the ground frame."""
         return np.asarray(rc, dtype=float) @ self.matrix
 
-
-def rotated_frame(direction: np.ndarray) -> RotatedFrame:
-    """Frame whose range axis is the given unit direction."""
-    return RotatedFrame(direction=np.asarray(direction, dtype=float))

@@ -50,9 +50,10 @@ def write_table(path, header: list[str], rows) -> None:
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of a CSV table, every field as text."""
+    """Header and rows of a CSV table, every field as text; an empty file
+    reads as no header and no rows."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = [row for row in reader]
     return header, rows

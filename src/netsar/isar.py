@@ -23,10 +23,9 @@ from .imageio import write_pgm, write_table
 
 @dataclass(frozen=True)
 class WavenumberSample:
-    """One spectrum-domain sample: a k-vector (rad/m) and a complex value."""
+    """The k-vector (rad/m) of one spectrum-domain sample."""
 
     k_vector: np.ndarray
-    value: complex = 0.0 + 0.0j
 
     def __post_init__(self):
         k = np.asarray(self.k_vector, dtype=float)
@@ -89,15 +88,6 @@ def build_sensing_tensor(
     return amplitude * np.exp(-1j * (kvecs @ pos.T))
 
 
-def _truncated_pinv(tensor: np.ndarray, svd_tolerance: float) -> tuple[np.ndarray, int]:
-    """Pseudo-inverse from one SVD, dropping singular values below
-    svd_tolerance * sigma_max; returns (pseudo-inverse, kept rank)."""
-    u, s, vh = np.linalg.svd(tensor, full_matrices=False)
-    keep = s > svd_tolerance * s[0] if s.size else np.zeros(0, dtype=bool)
-    rank = int(keep.sum())
-    return (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T, rank
-
-
 def invert_sensing_tensor(
     tensor: np.ndarray,
     measurements: np.ndarray,
@@ -137,8 +127,13 @@ def invert_sensing_tensor(
 
 
 def pseudo_inverse(tensor: np.ndarray, svd_tolerance: float = 1e-10) -> np.ndarray:
-    """Truncated-SVD Moore-Penrose pseudo-inverse of the sensing map."""
-    return _truncated_pinv(tensor, svd_tolerance)[0]
+    """Truncated-SVD Moore-Penrose pseudo-inverse of the sensing map.
+
+    One SVD; singular values at most svd_tolerance * sigma_max are dropped.
+    """
+    u, s, vh = np.linalg.svd(tensor, full_matrices=False)
+    rank = int(np.sum(s > svd_tolerance * s[0])) if s.size else 0
+    return (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T
 
 
 def voxel_grid_to_csv(grid: VoxelGrid, path) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import DegenerateStepError, EmptyInputError, IndexOverflowError
-from .geometry import EllipseFootprint, GroundPoint, RotatedFrame, rotated_frame
+from .geometry import EllipseFootprint, GroundPoint, RotatedFrame
 from .forward import MeasurementPatch
 from .patches import wavenumber_vectors
 
@@ -36,7 +36,6 @@ class ReconstructedImage:
     magnitude: np.ndarray
     pixel_spacing: tuple[float, float]
     origin: GroundPoint
-    contributing_patches: tuple[str, ...] = ()
     frame: RotatedFrame | None = None
     footprint: EllipseFootprint | None = None
 
@@ -76,10 +75,6 @@ class ReflectorEstimate:
             raise ValueError("score must be nonnegative")
 
 
-def _patch_id(patch: MeasurementPatch) -> str:
-    return f"{patch.tx.station_id}->{patch.rx.station_id}"
-
-
 def bin_spectrum(
     patches: list[MeasurementPatch], S: int, pixel_extent: float
 ) -> np.ndarray:
@@ -103,7 +98,7 @@ def bin_spectrum(
         if np.any(bad):
             where = np.nonzero(bad.any(axis=1))[0][0]
             raise IndexOverflowError(
-                f"sample {where} of patch {_patch_id(patch)} at "
+                f"sample {where} of patch {patch.tx.station_id}->{patch.rx.station_id} at "
                 f"wavenumber {coords[where]} falls outside the {n}x{n} grid"
             )
         gi = idx[:, 0] + S
@@ -137,7 +132,6 @@ def procedure1_invert(
         magnitude=np.abs(image),
         pixel_spacing=(dx, dx),
         origin=center,
-        contributing_patches=tuple(_patch_id(p) for p in patches),
     )
 
 
@@ -168,7 +162,6 @@ def procedure2_per_patch(
         magnitude=np.abs(image),
         pixel_spacing=tuple(1.0 / (shape * steps) / pad_factor),
         origin=patch.region_center,
-        contributing_patches=(_patch_id(patch),),
         frame=frame,
         footprint=patch.footprint,
     )
@@ -185,7 +178,7 @@ def _keystone_grid(patch: MeasurementPatch):
         raise ValueError("procedure 2 needs at least two antennas")
     if M < 2:
         raise ValueError("procedure 2 needs at least two subcarriers")
-    frame = rotated_frame(patch.direction)
+    frame = RotatedFrame(patch.direction)
     coords = frame.to_patch(wavenumber_vectors(patch)[..., :2])  # (N_a, M, 2)
     corner = coords.min(axis=(0, 1))
     span = coords.max(axis=(0, 1)) - corner
@@ -237,8 +230,8 @@ def fuse_images(
     relative brightness but keeps each ridge at half scale. Averaging
     across groups keeps beams that share no ground from zeroing each
     other. The result is renormalized to unit peak. A warning (not an
-    error) is issued when an input image does not overlap the target
-    grid.
+    error) naming the image's index in ``images`` is issued when an
+    input image does not overlap the target grid.
 
     An image is sampled only at the target pixels inside its sample box;
     a group's product is zero outside the intersection of its members'
@@ -258,8 +251,9 @@ def fuse_images(
     xs = (np.arange(shape[0]) - shape[0] // 2) * spacing + center.x
     ys = (np.arange(shape[1]) - shape[1] // 2) * spacing + center.y
 
-    def sample(img):
+    def sample(i):
         """(box low corner, box high corner, normalized samples in the box)."""
+        img = images[i]
         peak = img.magnitude.max()
         norm = img.magnitude / peak if peak > 0 else img.magnitude
         mx, my = img.magnitude.shape
@@ -274,32 +268,27 @@ def fuse_images(
         sampled = _bilinear(norm, index)
         if not np.any(sampled > 0):
             warnings.warn(
-                f"image {img.contributing_patches} does not overlap the target grid",
+                f"image {i} does not overlap the target grid",
                 stacklevel=3,
             )
         return lo, hi, sampled
 
+    # a mean is a product over groups of one image each
+    groups: dict[EllipseFootprint | int | None, list[int]] = {}
+    for i, img in enumerate(images):
+        groups.setdefault(img.footprint if method == "product" else i, []).append(i)
     fused = np.zeros(shape)
-    if method == "mean":
-        for img in images:
-            lo, hi, sampled = sample(img)
-            fused[_box(lo, hi)] += sampled
-        fused /= len(images)
-    else:
-        groups: dict[EllipseFootprint | None, list[ReconstructedImage]] = {}
-        for img in images:
-            groups.setdefault(img.footprint, []).append(img)
-        for group in groups.values():
-            lo, hi, product = sample(group[0])
-            for img in group[1:]:
-                img_lo, img_hi, sampled = sample(img)
-                new_lo = np.maximum(lo, img_lo)
-                new_hi = np.maximum(np.minimum(hi, img_hi), new_lo)
-                product = product[_box(new_lo - lo, new_hi - lo)]
-                product *= sampled[_box(new_lo - img_lo, new_hi - img_lo)]
-                lo, hi = new_lo, new_hi
-            fused[_box(lo, hi)] += product
-        fused /= len(groups)
+    for group in groups.values():
+        lo, hi, product = sample(group[0])
+        for i in group[1:]:
+            img_lo, img_hi, sampled = sample(i)
+            new_lo = np.maximum(lo, img_lo)
+            new_hi = np.maximum(np.minimum(hi, img_hi), new_lo)
+            product = product[_box(new_lo - lo, new_hi - lo)]
+            product *= sampled[_box(new_lo - img_lo, new_hi - img_lo)]
+            lo, hi = new_lo, new_hi
+        fused[_box(lo, hi)] += product
+    fused /= len(groups)
     peak = fused.max()
     if peak > 0:
         fused /= peak
@@ -307,7 +296,6 @@ def fuse_images(
         magnitude=fused,
         pixel_spacing=(spacing, spacing),
         origin=center,
-        contributing_patches=tuple(i for img in images for i in img.contributing_patches),
     )
 
 
@@ -363,18 +351,15 @@ def _sample_box(img: ReconstructedImage, shape, spacing: float, center: GroundPo
 
 @dataclass(frozen=True)
 class RangeProfile:
-    """Incoherent 1-D range response of one patch.
+    """Peaks of the incoherent 1-D range response of one patch.
 
-    ``ranges[n]`` is the look-direction offset from the region center of
-    bin n; peaks are (range, magnitude) pairs sorted by magnitude.
+    Peaks are (range, magnitude) pairs sorted by magnitude; a range is
+    the offset from ``center`` along the look ``direction``.
     """
 
-    ranges: np.ndarray
-    profile: np.ndarray
     peaks: tuple[tuple[float, float], ...]
     direction: np.ndarray
     center: np.ndarray
-    patch_id: str
 
 
 def range_profiles(
@@ -394,7 +379,6 @@ def range_profiles(
     profile = np.fft.fftshift(np.abs(spectra).mean(axis=0))
     freq = np.fft.fftshift(np.fft.fftfreq(M))
     scale = SPEED_OF_LIGHT / (wf.subcarrier_spacing * patch.bistatic_scale)
-    ranges = freq * scale
 
     threshold = np.median(profile) * 10.0 ** (threshold_db / 20.0)
     peaks = []
@@ -403,23 +387,26 @@ def range_profiles(
         right = profile[n + 1] if n < M - 1 else -np.inf
         v = profile[n]
         if v > threshold and v >= left and v >= right:
-            # parabolic sub-bin refinement
-            shift = 0.0
-            if n > 0 and n < M - 1:
-                denom = profile[n - 1] - 2 * v + profile[n + 1]
-                if denom < 0:
-                    shift = 0.5 * (profile[n - 1] - profile[n + 1]) / denom
-            r = (freq[n] + shift / M) * scale
+            r = (freq[n] + _vertex(profile, n) / M) * scale
             peaks.append((float(r), float(v)))
     peaks.sort(key=lambda p: -p[1])
     return RangeProfile(
-        ranges=ranges,
-        profile=profile,
         peaks=tuple(peaks),
         direction=patch.direction.copy(),
         center=patch.region_center.horizontal(),
-        patch_id=_patch_id(patch),
     )
+
+
+def _vertex(line: np.ndarray, n: int) -> float:
+    """Offset from n of the vertex of the parabola through line[n-1:n+2].
+
+    0 at either end of the line and where the curvature is not negative.
+    """
+    if 0 < n < line.size - 1:
+        denom = line[n - 1] - 2 * line[n] + line[n + 1]
+        if denom < 0:
+            return 0.5 * (line[n - 1] - line[n + 1]) / denom
+    return 0.0
 
 
 @dataclass
@@ -555,8 +542,8 @@ def estimate_height(
     """Per-pixel surface height from vertical-wavenumber plane images.
 
     ``plane_images[i]`` is the complex image reconstructed at vertical
-    wavenumber i * z_step (plane 0 is the ground plane). For each pixel
-    bright enough in the ground image, the ratio sequence against the
+    wavenumber i * z_step (plane 0 is the ground plane). For each nonzero
+    pixel bright enough in the ground image, the ratio sequence against the
     ground plane is a complex exponential whose frequency is the surface
     height; the height is read off the peak DFT bin. Heights wrap at the
     unambiguous limit 2*pi / z_step; quantization is one DFT bin,
@@ -570,8 +557,9 @@ def estimate_height(
         raise ValueError("z_step must be positive")
     nz = planes.shape[0]
     ground = planes[0]
-    peak = np.abs(ground).max()
-    valid = np.abs(ground) >= mask_threshold * peak
+    magnitude = np.abs(ground)
+    # a dark ground pixel has no ratio sequence, even in an all-dark image
+    valid = (magnitude >= mask_threshold * magnitude.max()) & (magnitude > 0)
     height = np.full(ground.shape, np.nan)
     if not np.any(valid):
         return height, valid
@@ -588,13 +576,6 @@ def image_peak(image: ReconstructedImage) -> np.ndarray:
     """Ground (x, y) of the image magnitude peak, parabolically refined."""
     mag = image.magnitude
     a, b = np.unravel_index(np.argmax(mag), mag.shape)
-    fa, fb = float(a), float(b)
-    if 0 < a < mag.shape[0] - 1:
-        denom = mag[a - 1, b] - 2 * mag[a, b] + mag[a + 1, b]
-        if denom < 0:
-            fa += 0.5 * (mag[a - 1, b] - mag[a + 1, b]) / denom
-    if 0 < b < mag.shape[1] - 1:
-        denom = mag[a, b - 1] - 2 * mag[a, b] + mag[a, b + 1]
-        if denom < 0:
-            fb += 0.5 * (mag[a, b - 1] - mag[a, b + 1]) / denom
-    return image.ground_position(fa, fb)
+    return image.ground_position(
+        float(a) + _vertex(mag[:, b], a), float(b) + _vertex(mag[a], b)
+    )

@@ -4,10 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from netsar.analysis import (
     OneDimModel,
-    dirichlet_kernel,
     loglog_slope,
     mse_monte_carlo,
-    mse_prediction,
     projection_slice_check,
     reconstruct_1d,
     resolutions,
@@ -51,16 +49,6 @@ def test_resolution_formulas():
         resolutions(WF, aperture=-1.0, distance=100.0, antenna_count=64)
 
 
-def test_dirichlet_kernel_unit_peak_and_width():
-    d = dirichlet_kernel(256, 16)
-    assert d[0] == 1.0
-    # first null of a width-W window at P / W samples
-    null = int(round(256 / 16))
-    assert abs(d[null]) < 1e-12
-    # mainlobe is above every sidelobe
-    assert np.abs(d[1:null]).max() < 1.0
-
-
 def test_single_full_window_reconstructs_exactly():
     rng = np.random.default_rng(3)
     g = rng.normal(size=64) + 1j * rng.normal(size=64)
@@ -100,18 +88,6 @@ def test_sidelobe_statistics_uniform_phase():
     assert np.all(np.abs(stats["var_ratio"] - 1.0) < 0.1)
     # distinct grid points are uncorrelated
     assert np.abs(stats["autocorr"]).max() < 32 * 0.1
-
-
-def test_mse_prediction_scales_inverse_n():
-    rng = np.random.default_rng(5)
-    g = np.zeros(128, complex)
-    g[rng.integers(0, 128, 4)] = 1.0
-    p1 = mse_prediction(g, 8, 16).sum()
-    p2 = mse_prediction(g, 16, 16).sum()
-    ratio = p1 / p2
-    assert 1.8 < ratio < 2.3  # dominated by the 1/N term
-    with pytest.raises(ValueError):
-        mse_prediction(g, 0, 16)
 
 
 def test_mse_monte_carlo_slope_near_minus_one():

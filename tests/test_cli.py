@@ -35,6 +35,7 @@ from netsar.errors import (
     CorruptDatasetError,
     EmptyFootprintError,
     InvalidBeamError,
+    InvalidDistributionError,
     MissingDatasetError,
     UnknownAlgorithmError,
 )
@@ -277,6 +278,14 @@ def test_load_dataset_rejects_a_truncated_samples_file(tmp_path):
     raw = (out / "samples.npy").read_bytes()
     (out / "samples.npy").write_bytes(raw[:-16])
     with pytest.raises(CorruptDatasetError, match="samples.npy"):
+        load_dataset(SMALL, out)
+
+
+def test_load_dataset_rejects_an_empty_patches_file(tmp_path):
+    out = tmp_path / "run"
+    assert simulate_run(SMALL, out, seed=7) > 0
+    (out / "patches.csv").write_bytes(b"")
+    with pytest.raises(CorruptDatasetError, match="patches.csv"):
         load_dataset(SMALL, out)
 
 
@@ -583,6 +592,13 @@ def test_main_analyze_tradeoff(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "I(X;Y)" in printed
     assert (out / "tradeoff.csv").exists()
+
+
+def test_main_analyze_tradeoff_rejects_an_empty_channel_file(tmp_path):
+    channel = tmp_path / "channel.csv"
+    channel.write_bytes(b"")
+    with pytest.raises(InvalidDistributionError):
+        main(["analyze", "tradeoff", "--channel", str(channel), "--out", str(tmp_path / "ana")])
 
 
 def test_main_analyze_slice_check(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from netsar.geometry import (
     BeamSpec,
     EllipseFootprint,
     GroundPoint,
-    rotated_frame,
+    RotatedFrame,
 )
 from netsar.patches import align_and_place, wavenumber_vectors
 from netsar.reconstruct import (
@@ -256,14 +257,14 @@ def test_fuse_images_equals_full_grid_sampling(method):
             magnitude=rng.random((64, 48)),
             pixel_spacing=(0.3, 0.35),
             origin=GroundPoint(1.0, -1.0),
-            frame=rotated_frame(np.array([1.0, 1.0]) / math.sqrt(2.0)),
+            frame=RotatedFrame(np.array([1.0, 1.0]) / math.sqrt(2.0)),
         ),
         # reaches past the target grid's +x edge
         ReconstructedImage(
             magnitude=rng.random((80, 80)),
             pixel_spacing=(0.2, 0.2),
             origin=GroundPoint(8.0, 3.0),
-            frame=rotated_frame(np.array([math.cos(1.7), math.sin(1.7)])),
+            frame=RotatedFrame(np.array([math.cos(1.7), math.sin(1.7)])),
         ),
         # ground frame
         ReconstructedImage(
@@ -308,7 +309,7 @@ def _in_footprint_box(pts, img):
     """Which ground points lie in img's footprint box, widened by its pixel."""
     f = img.footprint
     # the ellipse's support along x and y: sqrt of the diagonal of R diag(a², b²) Rᵀ
-    rot = rotated_frame(
+    rot = RotatedFrame(
         np.array([math.cos(f.major_axis_azimuth), math.sin(f.major_axis_azimuth)])
     ).matrix.T
     half = np.sqrt(np.diag(rot @ np.diag([f.semi_major**2, f.semi_minor**2]) @ rot.T))
@@ -334,7 +335,7 @@ def test_fuse_images_samples_only_inside_each_footprint_box(method):
             magnitude=rng.random((64, 48)),
             pixel_spacing=(0.3, 0.35),
             origin=GroundPoint(1.0, -1.0),
-            frame=rotated_frame(np.array([1.0, 1.0]) / math.sqrt(2.0)),
+            frame=RotatedFrame(np.array([1.0, 1.0]) / math.sqrt(2.0)),
             footprint=_footprint(1.3, -0.6, 3.1, 0.6, 0.4),
         ),
         # the footprint box reaches past the target grid's +x edge
@@ -342,7 +343,7 @@ def test_fuse_images_samples_only_inside_each_footprint_box(method):
             magnitude=rng.random((80, 80)),
             pixel_spacing=(0.2, 0.2),
             origin=GroundPoint(8.0, 3.0),
-            frame=rotated_frame(np.array([math.cos(1.7), math.sin(1.7)])),
+            frame=RotatedFrame(np.array([math.cos(1.7), math.sin(1.7)])),
             footprint=_footprint(7.9, 0.7, 6.2, 0.8, 2.5),
         ),
         # ground frame, no footprint: its whole pixel box is sampled
@@ -363,7 +364,10 @@ def test_fuse_images_samples_only_inside_each_footprint_box(method):
     assert np.abs(uncut - ref).max() > 0.1
 
 
-def test_fuse_product_multiplies_within_a_footprint_group_and_averages_across():
+@pytest.mark.parametrize("method", ["mean", "product"])
+def test_fuse_product_multiplies_within_a_footprint_group_and_averages_across(method):
+    """Product fusion multiplies the two images that share a footprint; mean
+    fusion averages them like any other image."""
     rng = np.random.default_rng(13)
     near, far = _footprint(-4.0, 1.0, 3.0, 0.5, 0.3), _footprint(5.0, -2.0, 2.5, 0.4, 1.1)
     images = [
@@ -376,8 +380,8 @@ def test_fuse_product_multiplies_within_a_footprint_group_and_averages_across():
         for x, y, f in ((-4.0, 1.0, near), (-3.5, 0.5, near), (5.0, -2.0, far))
     ]
     extent, spacing, center = (20.0, 18.0), 0.1, GroundPoint(0.5, -0.25)
-    fused = fuse_images(images, extent, spacing, center=center, method="product")
-    ref = _fuse_full_grid(images, extent, spacing, center, "product", crop=True)
+    fused = fuse_images(images, extent, spacing, center=center, method=method)
+    ref = _fuse_full_grid(images, extent, spacing, center, method, crop=True)
     assert np.abs(fused.magnitude - ref).max() <= 1e-12
     # the two beams share no ground, and each still shows
     west, east = np.split(fused.magnitude, 2)
@@ -392,7 +396,7 @@ def test_fuse_warns_when_a_footprint_lies_off_the_grid():
         footprint=_footprint(12.0, 0.0, 2.0, 0.5, 0.3),
     )
     # the image's pixels cover the grid, its footprint box does not
-    with pytest.warns(UserWarning, match="does not overlap"):
+    with pytest.warns(UserWarning, match="image 0 does not overlap"):
         fused = fuse_images([img], (10.0, 10.0), 0.5)
     assert not fused.magnitude.any()
     uncut = fuse_images([dataclasses.replace(img, footprint=None)], (10.0, 10.0), 0.5)
@@ -453,16 +457,13 @@ def test_intersect_lines_recovers_two_reflectors():
         np.array([math.cos(0.7), math.sin(0.7)]),
     ]
     profiles = []
-    for n, d in enumerate(dirs):
+    for d in dirs:
         peaks = tuple((float(t @ d), 1.0) for t in truth)
         profiles.append(
             RangeProfile(
-                ranges=np.zeros(1),
-                profile=np.zeros(1),
                 peaks=peaks,
                 direction=d,
                 center=np.zeros(2),
-                patch_id=f"p{n}",
             )
         )
     estimates, diag = intersect_lines(profiles, cluster_radius=1.0, min_support=2)
@@ -481,12 +482,9 @@ def test_intersect_lines_skips_parallel_and_empty():
 
     d = np.array([1.0, 0.0])
     mk = lambda: RangeProfile(
-        ranges=np.zeros(1),
-        profile=np.zeros(1),
         peaks=((1.0, 1.0),),
         direction=d,
         center=np.zeros(2),
-        patch_id="p",
     )
     estimates, diag = intersect_lines([mk(), mk()], cluster_radius=1.0)
     assert estimates == [] and diag.skipped_parallel == 1
@@ -527,6 +525,15 @@ def test_estimate_height_flat_surface_is_zero():
         estimate_height(planes[:3], 0.2)
     with pytest.raises(ValueError):
         estimate_height(planes, -1.0)
+
+
+def test_estimate_height_of_a_dark_stack_has_no_valid_pixel():
+    planes = np.zeros((8, 4, 4), complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        height, valid = estimate_height(planes, 0.2)
+    assert not valid.any()
+    assert np.isnan(height).all()
 
 
 def test_reconstructed_image_ground_position_round_trip():

@@ -9,6 +9,8 @@ the forward model stays independent of the reconstruction chain.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +118,67 @@ def illuminated_pixels(
     return np.stack([xs[gx], ys[gy], heights], axis=1), values
 
 
+# antennas whose phases one np.exp call forms
+_BLOCK = 8
+# worker threads of the synthesis, built on the first lit patch; a forked
+# child has none of them and builds its own
+_pool = None
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _sum_blocks(samples, starts, lock, pix, values, d_tx, rx_pos, k) -> None:
+    """Fill ``samples`` for each antenna block taken from ``starts`` until none is left.
+
+    Worker threads run this, so it calls numpy only: no BLAS, whose own
+    thread would spin on the core another participant needs, and no
+    netsar function, which the bench tracer (not thread-safe) may wrap.
+    """
+    while True:
+        with lock:
+            start = next(starts, None)
+        if start is None:
+            return
+        rows = slice(start, start + _BLOCK)
+        d_rx = np.linalg.norm(pix[None, :, :] - rx_pos[rows, None, :], axis=2)
+        amp = values / (d_tx * d_rx)
+        total = d_tx + d_rx
+        phases = np.exp(-1j * (k[None, :, None] * total[:, None, :]))
+        # fixed pixel summation order for bit reproducibility
+        samples[rows] = np.einsum("lmp,lp->lm", phases, amp)
+
+
+def _antenna_sums(samples, pix, values, tx_pos, rx_pos, k, participants=None) -> None:
+    """Write each antenna's pixel sum into ``samples``, one row per antenna.
+
+    The calling thread and up to ``participants - 1`` pool threads
+    (default: one participant per CPU the process may use) take blocks of
+    ``_BLOCK`` antennas in turn. A row is computed the same way whoever
+    takes it, so the samples do not depend on the participant count.
+    """
+    global _pool
+    if participants is None:
+        participants = len(os.sched_getaffinity(0))
+    blocks = range(0, len(rx_pos), _BLOCK)
+    helpers = min(participants, len(blocks)) - 1
+    if helpers > 0 and _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(max_workers=helpers)
+    d_tx = np.linalg.norm(pix - tx_pos[None, :], axis=1)
+    args = (samples, iter(blocks), threading.Lock(), pix, values, d_tx, rx_pos, k)
+    futures = [_pool.submit(_sum_blocks, *args) for _ in range(helpers)]
+    _sum_blocks(*args)
+    for future in futures:
+        future.result()
+
+
 def synthesize_measurement(
     scene: Scene,
     tx: BaseStation,
@@ -132,7 +195,9 @@ def synthesize_measurement(
     Sums the exact-geometry response of every illuminated scene pixel
     (see ``illuminated_pixels``; zero-reflectivity pixels contribute
     nothing and are skipped). The region center defaults to the footprint
-    center and anchors all direction/distance metadata. Optional circular
+    center and anchors all direction/distance metadata. The antennas are
+    summed on every CPU the process may use, with the same bits whatever
+    their number (see ``_antenna_sums``). Optional circular
     complex Gaussian noise of the given per-sample power is added when
     noise_power > 0.
     """
@@ -149,13 +214,7 @@ def synthesize_measurement(
 
     samples = np.zeros((rx.antenna_count, wf.subcarrier_count), dtype=complex)
     if values.size:
-        d_tx = np.linalg.norm(pix - tx_pos[None, :], axis=1)
-        for l in range(rx.antenna_count):
-            d_rx = np.linalg.norm(pix - rx_pos[l][None, :], axis=1)
-            amp = values / (d_tx * d_rx)
-            total = d_tx + d_rx
-            # fixed pixel summation order for bit reproducibility
-            samples[l] = np.exp(-1j * np.outer(k, total)) @ amp
+        _antenna_sums(samples, pix, values, tx_pos, rx_pos, k)
 
     if noise_power > 0:
         rng = np.random.default_rng(seed)

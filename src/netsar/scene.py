@@ -71,15 +71,20 @@ class Scene:
         return xs, ys
 
 
-def _rasterize(xs, ys, reflectors):
-    """Boolean membership mask per reflector: pixel center inside the square."""
-    masks = []
+def _windows(xs, ys, reflectors):
+    """Index window per reflector: the (x, y) slices of the pixels whose
+    centers lie inside its square."""
+    windows = []
     for ref in reflectors:
         half = ref.side / 2.0
-        mx = np.abs(xs - ref.center.x) <= half
-        my = np.abs(ys - ref.center.y) <= half
-        masks.append(np.outer(mx, my))
-    return masks
+        ix = np.flatnonzero(np.abs(xs - ref.center.x) <= half)
+        iy = np.flatnonzero(np.abs(ys - ref.center.y) <= half)
+        windows.append(
+            (slice(ix[0], ix[-1] + 1), slice(iy[0], iy[-1] + 1))
+            if ix.size and iy.size
+            else (slice(0, 0), slice(0, 0))
+        )
+    return windows
 
 
 def random_reflector_scene(
@@ -114,12 +119,14 @@ def random_reflector_scene(
     xs = (np.arange(nx) + 0.5) * resolution - extent[0] / 2.0
     ys = (np.arange(ny) + 0.5) * resolution - extent[1] / 2.0
     mag = np.zeros((nx, ny))
-    for mask in _rasterize(xs, ys, reflectors):
-        mag = np.maximum(mag, np.where(mask, magnitude, 0.0))
-    phase = np.zeros((nx, ny))
+    for window in _windows(xs, ys, reflectors):
+        np.maximum(mag[window], magnitude, out=mag[window])
+    # a dark pixel is 0+0j with or without a phase, so draw phases for the
+    # lit pixels only, in row-major order
     nonzero = mag > 0
-    phase[nonzero] = rng.uniform(0.0, 2 * np.pi, size=int(nonzero.sum()))
-    reflectivity = mag * np.exp(1j * phase)
+    phase = rng.uniform(0.0, 2 * np.pi, size=int(nonzero.sum()))
+    reflectivity = np.zeros((nx, ny), dtype=complex)
+    reflectivity[nonzero] = mag[nonzero] * np.exp(1j * phase)
     return Scene(
         extent=extent,
         resolution=resolution,
@@ -136,8 +143,8 @@ def set_height_profile(scene: Scene, reflectors: list[ReflectorSpec]) -> Scene:
     """
     xs, ys = scene.pixel_centers()
     height = np.zeros(scene.shape)
-    for ref, mask in zip(reflectors, _rasterize(xs, ys, reflectors)):
-        height = np.maximum(height, np.where(mask, ref.height, 0.0))
+    for ref, window in zip(reflectors, _windows(xs, ys, reflectors)):
+        np.maximum(height[window], ref.height, out=height[window])
     return replace(scene, height=height)
 
 

@@ -136,24 +136,41 @@ def channel_to_csv(ch: JointChannel, path) -> None:
 
 
 def channel_from_csv(path) -> JointChannel:
-    p_x = p_s = None
-    kernel_rows: dict[tuple[int, int], np.ndarray] = {}
-    for row in read_table(path)[1]:
-        section, index, values = row[0], row[1], np.array(row[2:], dtype=float)
-        if section == "p_x":
-            p_x = values
-        elif section == "p_s":
-            p_s = values
-        elif section == "kernel":
-            x, s = (int(v) for v in index.split(","))
-            kernel_rows[(x, s)] = values
-        else:
-            raise InvalidDistributionError(f"unknown section {section!r}")
-    if p_x is None or p_s is None or not kernel_rows:
+    """Channel from :func:`channel_to_csv` rows; a malformed row raises
+    InvalidDistributionError naming its line."""
+    rows = {"p_x": [], "p_s": [], "kernel": []}
+    for line, row in enumerate(read_table(path)[1], start=2):
+        if len(row) < 2:
+            raise InvalidDistributionError(
+                f"line {line}: expected a section, an index and values"
+            )
+        if row[0] not in rows:
+            raise InvalidDistributionError(f"line {line}: unknown section {row[0]!r}")
+        try:
+            values = np.array(row[2:], dtype=float)
+        except ValueError as exc:
+            raise InvalidDistributionError(f"line {line}: {exc}") from None
+        rows[row[0]].append((line, row[1], values))
+    if not all(rows.values()):
         raise InvalidDistributionError("channel file is missing a section")
-    n_y = next(iter(kernel_rows.values())).size
+    p_x, p_s = rows["p_x"][-1][2], rows["p_s"][-1][2]
+    n_y = rows["kernel"][0][2].size
     kernel = np.zeros((p_x.size, p_s.size, n_y))
-    for (x, s), values in kernel_rows.items():
+    for line, index, values in rows["kernel"]:
+        try:
+            x, s = (int(v) for v in index.split(","))
+        except ValueError:
+            raise InvalidDistributionError(
+                f"line {line}: kernel index {index!r} is not two integers x,s"
+            ) from None
+        if not (0 <= x < p_x.size and 0 <= s < p_s.size):
+            raise InvalidDistributionError(
+                f"line {line}: kernel index {index!r} is outside |X|={p_x.size}, |S|={p_s.size}"
+            )
+        if values.size != n_y:
+            raise InvalidDistributionError(
+                f"line {line}: kernel row has {values.size} values, the first has {n_y}"
+            )
         kernel[x, s] = values
     return JointChannel(p_x=p_x, p_s=p_s, kernel=kernel)
 

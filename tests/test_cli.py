@@ -379,15 +379,18 @@ ALGORITHMS = ("intersect", "procedure1", "procedure2", "isar", "3d")
 
 def test_importing_the_cli_leaves_scipy_interpolate_unloaded(tmp_path):
     # SciPy is needed only by `analyze slice-check`: importing the CLI,
-    # simulating and every reconstruction must load no scipy module
+    # simulating and every reconstruction must load no scipy module.
+    # Importing the CLI also starts no thread: simulate builds its pool on
+    # the first lit patch.
     src = Path(netsar.__file__).resolve().parents[1]
     save_config(SMALL, tmp_path / "small.cfg")
     code = f"""
-import dataclasses, sys
+import dataclasses, sys, threading
 from pathlib import Path
 import netsar.cli
 from netsar.config import ReconstructionConfig, load_config
-print('scipy.interpolate' in sys.modules)
+print('scipy.interpolate' in sys.modules, threading.active_count(),
+      'concurrent.futures' in sys.modules)
 out = Path({str(tmp_path)!r})
 cfg = load_config(out / "small.cfg")
 netsar.cli.simulate_run(cfg, out / "data", seed=7)
@@ -404,7 +407,7 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert result.stdout.split("\n")[:2] == ["False", "[]"]
+    assert result.stdout.split("\n")[:2] == ["False 1 False", "[]"]
     for algorithm in ALGORITHMS:
         assert (tmp_path / algorithm / "report.txt").is_file(), algorithm
 

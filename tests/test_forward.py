@@ -1,8 +1,17 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netsar
+from netsar import forward
+from netsar.cli import build_network, build_scene, channel_waveform
+from netsar.config import RunConfig
 from netsar.constants import SPEED_OF_LIGHT
 from netsar.errors import DegenerateGeometryError, EmptyFootprintError
 from netsar.forward import (
@@ -165,3 +174,135 @@ def test_patch_derives_geometry_from_its_stations():
     opposite = BaseStation(position=GroundPoint(-300.0, -50.0, 40.0), station_id="op")
     with pytest.raises(DegenerateGeometryError):
         MeasurementPatch(samples[:1], tx, opposite, WF, GroundPoint(0.0, 0.0))
+
+
+def test_synthesis_does_not_depend_on_participants_or_block_size(monkeypatch):
+    # 20 antennas: two full blocks of 8 and a short one of 4
+    rng = np.random.default_rng(3)
+    pts = [
+        ((float(x), float(y)), complex(a, b))
+        for (x, y), (a, b) in zip(
+            rng.uniform(-15, 15, size=(9, 2)), rng.normal(size=(9, 2))
+        )
+    ]
+    scene = _sparse_scene(pts)
+    tx, rx = _stations()
+    rx = dataclasses.replace(rx, antenna_count=20)
+    patch = synthesize_measurement(
+        scene, tx, BEAM, rx, WF, region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT
+    )
+    assert np.any(patch.samples)
+    pix, values = illuminated_pixels(scene, FOOTPRINT)
+    args = (pix, values, tx.position.as_array(), rx.antenna_positions(), WF.wavenumbers())
+    for participants in (1, 2, 3):
+        samples = np.zeros_like(patch.samples)
+        forward._antenna_sums(samples, *args, participants=participants)
+        assert samples.tobytes() == patch.samples.tobytes(), participants
+    # one antenna per np.exp call gives the same bits as a block of eight
+    monkeypatch.setattr(forward, "_BLOCK", 1)
+    samples = np.zeros_like(patch.samples)
+    forward._antenna_sums(samples, *args, participants=1)
+    assert samples.tobytes() == patch.samples.tobytes()
+
+
+def test_synthesis_matches_a_serial_matrix_vector_loop_on_the_survey_geometry():
+    # the default config: 64 antennas, 256 subcarriers, 400 m scene
+    cfg = RunConfig()
+    scene = build_scene(cfg)
+    tx, rx = build_network(cfg)[:2]
+    wf = channel_waveform(cfg, 1)
+    assert rx.antenna_count == 64
+    for ref in scene.reflectors[:4]:
+        footprint = EllipseFootprint(
+            center=ref.center,
+            eccentricity=0.0,
+            semi_major=12.0,
+            semi_minor=12.0,
+            major_axis_azimuth=0.0,
+        )
+        patch = synthesize_measurement(scene, tx, BEAM, rx, wf, footprint=footprint)
+        pix, values = illuminated_pixels(scene, footprint)
+        assert values.size > 0
+        # one antenna at a time, contracted by a matrix-vector product
+        k = wf.wavenumbers()
+        d_tx = np.linalg.norm(pix - tx.position.as_array()[None, :], axis=1)
+        expected = np.zeros_like(patch.samples)
+        for l, position in enumerate(rx.antenna_positions()):
+            d_rx = np.linalg.norm(pix - position[None, :], axis=1)
+            amp = values / (d_tx * d_rx)
+            expected[l] = np.exp(-1j * np.outer(k, d_tx + d_rx)) @ amp
+        scale = np.abs(expected).max()
+        assert np.abs(patch.samples - expected).max() / scale < 1e-14
+
+
+SIMULATE_SMALL = """
+import dataclasses, hashlib, os, sys, threading
+from pathlib import Path
+if sys.argv[2] == "one_cpu":
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+from netsar.cli import simulate_run
+from netsar.config import RunConfig
+cfg = RunConfig(
+    scene=dataclasses.replace(RunConfig().scene, extent_m=200.0),
+    schedule=dataclasses.replace(RunConfig().schedule, slot_count=30),
+)
+assert simulate_run(cfg, Path(sys.argv[1]), seed=99) > 0
+print(threading.active_count())
+print(hashlib.sha256((Path(sys.argv[1]) / "samples.npy").read_bytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_samples_depend_on_neither_blas_threads_nor_cpu_count(tmp_path):
+    src = Path(netsar.__file__).resolve().parents[1]
+    runs = {}
+    for blas_threads, cpus in (("1", "all_cpus"), ("2", "all_cpus"), ("2", "one_cpu")):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": blas_threads}
+        result = subprocess.run(
+            [sys.executable, "-c", SIMULATE_SMALL, str(tmp_path / blas_threads / cpus), cpus],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        runs[blas_threads, cpus] = result.stdout.split()
+    # the same samples.npy bytes in every run
+    assert len({digest for _, digest in runs.values()}) == 1, runs
+    # with a single CPU the synthesis starts no thread
+    assert runs["2", "one_cpu"][0] == "1"
+
+
+FORK_AFTER_SYNTHESIS = """
+import os, signal
+import numpy as np
+from netsar import forward
+pix = np.array([[1.0, 2.0, 0.0], [-3.0, 0.5, 0.0]])
+values = np.array([1.0 + 0.0j, 0.5j])
+rx = np.stack([np.linspace(0.0, 0.5, 16), np.full(16, 50.0), np.full(16, 30.0)], axis=1)
+k = np.linspace(100.0, 101.0, 8)
+def sums():
+    samples = np.zeros((16, 8), dtype=complex)
+    forward._antenna_sums(samples, pix, values, np.array([100.0, 0.0, 40.0]), rx, k, 2)
+    return samples
+parent = sums()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a child left waiting for a thread it lacks ends here
+    os._exit(0 if sums().tobytes() == parent.tobytes() else 1)
+print(os.waitpid(pid, 0)[1])
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_synthesizes_after_its_parent_built_the_pool():
+    # the child inherits no pool thread: it must not wait for one
+    src = Path(netsar.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", FORK_AFTER_SYNTHESIS],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout.split() == ["0"]

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netsar.geometry import GroundPoint
 from netsar.imageio import read_table, write_pgm
@@ -72,6 +75,75 @@ def test_height_profile_max_rule():
     ix = np.argmin(np.abs(xs - 0.5))
     iy = np.argmin(np.abs(ys))
     assert tall.height[ix, iy] == 9.0
+
+
+def _full_grid_masks(xs, ys, reflectors):
+    # oracle: one whole-grid membership mask per reflector
+    return [
+        np.outer(
+            np.abs(xs - ref.center.x) <= ref.side / 2.0,
+            np.abs(ys - ref.center.y) <= ref.side / 2.0,
+        )
+        for ref in reflectors
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(1, 30),
+    ny=st.integers(1, 30),
+    resolution=st.sampled_from([0.5, 0.7, 1.0]),
+    count=st.integers(0, 12),
+    side_fraction=st.floats(0.01, 1.0),
+    magnitude=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_scene_matches_a_full_grid_raster(
+    nx, ny, resolution, count, side_fraction, magnitude, seed
+):
+    extent = (nx * resolution, ny * resolution)
+    side = side_fraction * min(extent)
+    scene = random_reflector_scene(extent, count, side, seed, resolution, magnitude)
+
+    # the whole-grid construction, drawing from the same generator in the
+    # same order: centers, then one phase per lit pixel in row-major order
+    rng = np.random.default_rng(seed)
+    half = side / 2.0
+    cx = rng.uniform(-extent[0] / 2 + half, extent[0] / 2 - half, size=count)
+    cy = rng.uniform(-extent[1] / 2 + half, extent[1] / 2 - half, size=count)
+    assert [(r.center.x, r.center.y) for r in scene.reflectors] == list(zip(cx, cy))
+    xs, ys = scene.pixel_centers()
+    mag = np.zeros((math.ceil(extent[0] / resolution), math.ceil(extent[1] / resolution)))
+    for mask in _full_grid_masks(xs, ys, scene.reflectors):
+        mag = np.maximum(mag, np.where(mask, magnitude, 0.0))
+    phase = np.zeros(mag.shape)
+    nonzero = mag > 0
+    phase[nonzero] = rng.uniform(0.0, 2 * np.pi, size=int(nonzero.sum()))
+    expected = mag * np.exp(1j * phase)
+    assert scene.reflectivity.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    reflectors=st.lists(
+        st.builds(
+            ReflectorSpec,
+            center=st.builds(GroundPoint, st.floats(-14.0, 14.0), st.floats(-9.0, 9.0)),
+            side=st.floats(0.2, 12.0),
+            height=st.floats(0.0, 20.0),
+        ),
+        max_size=8,
+    )
+)
+def test_height_profile_matches_a_full_grid_raster(reflectors):
+    # centers reach past the 20 x 12 m grid, so squares overlap, touch the
+    # edge, hang over it, or miss the grid entirely
+    scene = random_reflector_scene((20.0, 12.0), 0, 1.0, seed=0)
+    xs, ys = scene.pixel_centers()
+    expected = np.zeros(scene.shape)
+    for ref, mask in zip(reflectors, _full_grid_masks(xs, ys, reflectors)):
+        expected = np.maximum(expected, np.where(mask, ref.height, 0.0))
+    assert set_height_profile(scene, reflectors).height.tobytes() == expected.tobytes()
 
 
 def test_csv_round_trip(tmp_path):

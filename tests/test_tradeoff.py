@@ -95,6 +95,49 @@ def test_channel_csv_missing_section(tmp_path):
         channel_from_csv(path)
 
 
+GOOD_ROWS = ["p_x,,1.0", "p_s,,1.0", 'kernel,"0,0",0.5,0.5']
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("kernel", r"line 5: expected a section, an index and values"),
+        ("p_x,,half", r"line 5: could not convert"),
+        ('kernel,"0,0",0.5,x', r"line 5: could not convert"),
+        ("kernel,x,0.5,0.5", r"line 5: kernel index 'x' is not two integers"),
+        ('kernel,"0,0,0",0.5,0.5', r"line 5: kernel index '0,0,0' is not two integers"),
+        ('kernel,"-1,0",0.5,0.5', r"line 5: kernel index '-1,0' is outside"),
+        ('kernel,"1,0",0.5,0.5', r"line 5: kernel index '1,0' is outside \|X\|=1"),
+        ('kernel,"0,1",0.5,0.5', r"line 5: kernel index '0,1' is outside .*\|S\|=1"),
+        ('kernel,"0,0",0.25,0.25,0.5', r"line 5: kernel row has 3 values, the first has 2"),
+    ],
+    ids=[
+        "section_only",
+        "non_numeric_prior",
+        "non_numeric_kernel_value",
+        "non_integer_index",
+        "three_part_index",
+        "negative_index",
+        "x_index_past_p_x",
+        "s_index_past_p_s",
+        "ragged_kernel_rows",
+    ],
+)
+def test_channel_csv_malformed_row_names_its_line(tmp_path, row, message):
+    path = tmp_path / "broken.csv"
+    path.write_text("\n".join(["section,index,values", *GOOD_ROWS, row]) + "\n")
+    with pytest.raises(InvalidDistributionError, match=message):
+        channel_from_csv(path)
+
+
+def test_channel_csv_good_rows_read_and_a_missing_file_stays_file_not_found(tmp_path):
+    path = tmp_path / "good.csv"
+    path.write_text("\n".join(["section,index,values", *GOOD_ROWS]) + "\n")
+    assert np.array_equal(channel_from_csv(path).kernel, [[[0.5, 0.5]]])
+    with pytest.raises(FileNotFoundError):
+        channel_from_csv(tmp_path / "absent.csv")
+
+
 def test_terms_table_lists_all_keys():
     terms = information_terms(example_channel())
     table = terms_table(terms)

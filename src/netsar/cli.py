@@ -174,11 +174,13 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     other station not transmitting on that channel and within the
     maximum receive distance of the footprint records a patch. Patches
     whose footprint contains no nonzero scene pixel are skipped; the
-    manifest counts the skips by reason.
+    manifest counts the skips by reason. Samples are synthesized in
+    complex128 and stored in samples.npy as complex64.
     """
     out.mkdir(parents=True, exist_ok=True)
     scene = build_scene(cfg)
     stations = build_network(cfg)
+    station_xy = np.array([s.position.horizontal() for s in stations])
     sch = cfg.schedule
     open_angle = math.radians(cfg.beam.open_angle_deg)
 
@@ -211,21 +213,18 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
                 continue
             ch = int(channels[ti])
             wf = channel_waveform(cfg, ch)
-            receivers = [
-                rx
-                for ri, rx in enumerate(stations)
-                if ri != ti
-                and not (transmits[ri] and int(channels[ri]) == ch)
-                and np.linalg.norm(
-                    rx.position.horizontal() - footprint.center.horizontal()
-                )
+            # stations in reach of the footprint that listen on its channel
+            listening = (
+                np.linalg.norm(station_xy - footprint.center.horizontal(), axis=1)
                 <= sch.max_receive_distance_m
-            ]
+            ) & ~(transmits & (channels == ch))
+            listening[ti] = False
+            receivers = [stations[ri] for ri in np.flatnonzero(listening)]
             if not receivers:
                 continue
             # the footprint test depends on the beam alone: classify it once
             try:
-                _, values = illuminated_pixels(scene, footprint)
+                pixels, values = illuminated_pixels(scene, footprint)
             except EmptyFootprintError:
                 skipped["outside_scene"] += len(receivers)
                 continue
@@ -234,7 +233,8 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
                 continue
             for rx in receivers:
                 patch = synthesize_measurement(
-                    scene, tx, beam, rx, wf, footprint=footprint
+                    scene, tx, beam, rx, wf, footprint=footprint,
+                    illuminated=(pixels, values),
                 )
                 if not np.any(patch.samples):
                     skipped["dark_footprint"] += 1
@@ -246,7 +246,8 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
                         tilt, azimuth,
                     ]
                 )
-                sample_blocks.append(patch.samples)
+                # synthesized in complex128, stored at a receiver's precision
+                sample_blocks.append(patch.samples.astype(np.complex64))
 
     scene_to_csv(scene, out / "scene.csv")
     write_pgm(np.abs(scene.reflectivity), out / "scene.pgm")
@@ -255,7 +256,9 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     stacked = (
         np.stack(sample_blocks)
         if sample_blocks
-        else np.zeros((0, cfg.network.antenna_count, cfg.waveform.subcarrier_count), dtype=complex)
+        else np.zeros(
+            (0, cfg.network.antenna_count, cfg.waveform.subcarrier_count), dtype=np.complex64
+        )
     )
     np.save(out / "samples.npy", stacked)
 
@@ -271,37 +274,38 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
 def load_dataset(cfg: RunConfig, dataset: Path):
     """Rebuild MeasurementPatch objects from a simulate_run dataset.
 
-    Raises CorruptDatasetError when samples.npy cannot be read or does
-    not hold one finite (antenna, subcarrier) grid per patches.csv row,
-    when patches.csv lacks a column, and when one of its rows is
-    malformed: the index column is not a permutation of 0..P-1, the
-    channel is not a configured channel, the carrier is not that
-    channel's, the center, tilt or planar angle is not finite, the tilt
-    makes no valid beam, or the footprint of the beam rebuilt from tx,
-    tilt, planar angle and the config's open angle is not centered on
-    the row's center (within 1e-6 m). Each patch carries that footprint.
+    samples.npy is read once, as complex128 whatever complex type it is
+    stored in (simulate_run stores complex64). Raises CorruptDatasetError
+    when samples.npy cannot be read, is not a complex array (rejected
+    from its header, so nothing is unpickled) or does not hold one finite
+    (antenna, subcarrier) grid per patches.csv row, when patches.csv
+    lacks a column, and when one of its rows is malformed: the index
+    column is not a permutation of 0..P-1, the channel is not a
+    configured channel, the carrier is not that channel's, the center,
+    tilt or planar angle is not finite, the tilt makes no valid beam, or
+    the footprint of the beam rebuilt from tx, tilt, planar angle and the
+    config's open angle is not centered on the row's center (within
+    1e-6 m). Each patch carries that footprint. Last, samples.npy,
+    patches.csv and config.txt must match the sha256 checksums that
+    manifest.txt records; a mismatch or a missing checksum raises
+    CorruptDatasetError naming the file.
     """
-    for name in ("patches.csv", "samples.npy", "manifest.txt"):
+    for name in ("patches.csv", "samples.npy", "config.txt", "manifest.txt"):
         if not (dataset / name).is_file():
             raise MissingDatasetError(f"no {name} in dataset {dataset}")
     header, rows = read_table(dataset / "patches.csv")
     missing = [name for name in PATCH_COLUMNS if name not in header]
     if missing:
         raise CorruptDatasetError(f"patches.csv in {dataset} has no column {missing}")
-    try:
-        stacked = np.load(dataset / "samples.npy")
-    except ValueError as exc:  # a truncated or garbled .npy file
-        raise CorruptDatasetError(f"samples.npy in {dataset}: {exc}") from None
     if not rows:
         raise MissingDatasetError(f"dataset at {dataset} contains no patches")
     expected = (len(rows), cfg.network.antenna_count, cfg.waveform.subcarrier_count)
-    if stacked.shape != expected:
-        raise CorruptDatasetError(
-            f"samples.npy has shape {stacked.shape}; patches.csv and the "
-            f"config call for {expected}"
-        )
-    if not np.isfinite(stacked).all():
-        raise CorruptDatasetError(f"samples.npy in {dataset} holds non-finite samples")
+    samples, samples_digest = _read_samples(dataset / "samples.npy", expected)
+    digests = {
+        "samples.npy": samples_digest,
+        "patches.csv": _sha256(dataset / "patches.csv"),
+        "config.txt": _sha256(dataset / "config.txt"),
+    }
     stations = {s.station_id: s for s in build_network(cfg)}
     # a dataset of another network fails here, before its footprints do
     named = {v for row in rows for k, v in zip(header, row) if k in ("tx_id", "rx_id")}
@@ -342,8 +346,81 @@ def load_dataset(cfg: RunConfig, dataset: Path):
         )
         tx, rx = stations[cells["tx_id"]], stations[cells["rx_id"]]
         footprint = _footprint(cells, line, tx, open_angle, center)
-        patches.append(MeasurementPatch(stacked[index], tx, rx, wf, center, footprint))
+        patches.append(MeasurementPatch(samples[index], tx, rx, wf, center, footprint))
+    recorded = _manifest_checksums(dataset / "manifest.txt")
+    for name, digest in digests.items():
+        if name not in recorded:
+            raise CorruptDatasetError(
+                f"manifest.txt in {dataset} records no checksum of {name}"
+            )
+        if recorded[name] != digest:
+            raise CorruptDatasetError(
+                f"{name} in {dataset} does not match the checksum manifest.txt records"
+            )
     return patches
+
+
+def _read_samples(path: Path, shape: tuple[int, int, int]) -> tuple[np.ndarray, str]:
+    """samples.npy as a complex128 array of the given shape, and its sha256.
+
+    Streams the file once. Its header is parsed first, so a file of the
+    wrong shape or of a non-complex dtype (an object array included) is
+    rejected before any sample is read or memory is allocated for it.
+    Then each patch's grid is read, hashed, checked for finiteness at its
+    stored precision and converted into one preallocated array.
+    """
+    readers = {
+        (1, 0): np.lib.format.read_array_header_1_0,
+        (2, 0): np.lib.format.read_array_header_2_0,
+    }
+    with open(path, "rb") as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in readers:
+                raise ValueError(f"unsupported .npy format version {version}")
+            stored, fortran_order, dtype = readers[version](fh)
+        except ValueError as exc:  # a truncated or garbled header
+            raise CorruptDatasetError(f"{path.name} in {path.parent}: {exc}") from None
+        if not np.issubdtype(dtype, np.complexfloating):
+            raise CorruptDatasetError(
+                f"{path.name} in {path.parent} holds {dtype} values, not complex samples"
+            )
+        if stored != shape:
+            raise CorruptDatasetError(
+                f"{path.name} has shape {stored}; patches.csv and the config call for {shape}"
+            )
+        data_start = fh.tell()
+        fh.seek(0)
+        digest = hashlib.sha256(fh.read(data_start))
+        samples = np.empty(shape, dtype=complex)
+        # a Fortran-ordered file stores the rows of the transpose in turn
+        rows = samples.T if fortran_order else samples
+        # the parts' float dtype: np.isfinite runs about twice as fast on it
+        part = np.empty(0, dtype).real.dtype
+        raw = np.empty(rows[0].size * dtype.itemsize, dtype=np.uint8)
+        for row in rows:
+            if fh.readinto(raw) != raw.size:
+                raise CorruptDatasetError(f"{path.name} in {path.parent} is truncated")
+            digest.update(raw)
+            if not np.isfinite(raw.view(part)).all():
+                raise CorruptDatasetError(
+                    f"{path.name} in {path.parent} holds non-finite samples"
+                )
+            row[...] = raw.view(dtype).reshape(row.shape)
+        # bytes past the last sample belong to the file's checksum too
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return samples, digest.hexdigest()
+
+
+def _manifest_checksums(path: Path) -> dict[str, str]:
+    """The artifact checksums a manifest records, by artifact name."""
+    checksums = {}
+    for line in path.read_bytes().decode(errors="replace").splitlines():
+        key, _, value = line.partition(" = ")
+        if key.startswith("checksum."):
+            checksums[key.removeprefix("checksum.")] = value
+    return checksums
 
 
 def _footprint(cells, line, tx, open_angle, center):

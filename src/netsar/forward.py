@@ -189,24 +189,28 @@ def synthesize_measurement(
     seed: int | None = None,
     region_center: GroundPoint | None = None,
     footprint: EllipseFootprint | None = None,
+    illuminated: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> MeasurementPatch:
     """Synthesize the patch a receiving station records from one beam.
 
     Sums the exact-geometry response of every illuminated scene pixel
     (see ``illuminated_pixels``; zero-reflectivity pixels contribute
-    nothing and are skipped). The region center defaults to the footprint
-    center and anchors all direction/distance metadata. The antennas are
-    summed on every CPU the process may use, with the same bits whatever
-    their number (see ``_antenna_sums``). Optional circular
-    complex Gaussian noise of the given per-sample power is added when
-    noise_power > 0.
+    nothing and are skipped); a caller that already classified the
+    footprint passes that ``(pixels, values)`` pair as ``illuminated``.
+    The region center defaults to the footprint center and anchors all
+    direction/distance metadata. The antennas are summed on every CPU the
+    process may use, with the same bits whatever their number (see
+    ``_antenna_sums``). Optional circular complex Gaussian noise of the
+    given per-sample power is added when noise_power > 0.
     """
     if footprint is None:
         footprint = beam_footprint(tx, beam)
     if region_center is None:
         region_center = footprint.center
 
-    pix, values = illuminated_pixels(scene, footprint)
+    if illuminated is None:
+        illuminated = illuminated_pixels(scene, footprint)
+    pix, values = illuminated
 
     rx_pos = rx.antenna_positions()
     tx_pos = tx.position.as_array()

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -91,6 +92,7 @@ def test_simulate_writes_dataset_and_manifest(tmp_path):
     ):
         assert (out / name).exists()
     stacked = np.load(out / "samples.npy")
+    assert stacked.dtype == np.complex64
     assert stacked.shape[0] == count
     assert stacked.shape[1] == SMALL.network.antenna_count
     manifest = (out / "manifest.txt").read_text()
@@ -208,7 +210,7 @@ def test_simulate_classifies_each_beam_as_a_pair_by_pair_loop_does(tmp_path, mon
     manifest = (out / "manifest.txt").read_text().splitlines()
     counts = dict(line.split(" = ") for line in manifest if line.startswith("skipped."))
     assert counts == {f"skipped.{reason}": str(n) for reason, n in skipped.items()}
-    np.save(tmp_path / "reference.npy", np.stack(blocks))
+    np.save(tmp_path / "reference.npy", np.stack(blocks).astype(np.complex64))
     assert (out / "samples.npy").read_bytes() == (tmp_path / "reference.npy").read_bytes()
 
 
@@ -219,11 +221,13 @@ def test_load_dataset_round_trip(tmp_path):
     assert len(patches) == count
     p = patches[0]
     assert p.samples.shape == (16, SMALL.waveform.subcarrier_count)
+    assert p.samples.dtype == np.complex128
     assert p.tx.station_id != p.rx.station_id
     with pytest.raises(MissingDatasetError):
         load_dataset(SMALL, tmp_path / "nope")
 
-    # every loaded patch carries the geometry synthesis gave it, bit for bit
+    # every loaded patch carries the geometry synthesis gave it, bit for
+    # bit, and its samples rounded to the complex64 they are stored in
     scene = build_scene(SMALL)
     stations = {s.station_id: s for s in build_network(SMALL)}
     header, rows = read_table(out / "patches.csv")
@@ -241,7 +245,7 @@ def test_load_dataset_round_trip(tmp_path):
             stations[row[col["rx_id"]]],
             channel_waveform(SMALL, int(row[col["channel"]])),
         )
-        assert np.array_equal(loaded.samples, made.samples)
+        assert np.array_equal(loaded.samples, made.samples.astype(np.complex64).astype(complex))
         assert np.array_equal(loaded.direction, made.direction)
         for name in ("tx", "rx", "bistatic_scale", "region_center", "waveform", "footprint"):
             assert getattr(loaded, name) == getattr(made, name), name
@@ -279,6 +283,108 @@ def test_load_dataset_rejects_a_truncated_samples_file(tmp_path):
     (out / "samples.npy").write_bytes(raw[:-16])
     with pytest.raises(CorruptDatasetError, match="samples.npy"):
         load_dataset(SMALL, out)
+
+
+def _record_checksum(dataset, name):
+    """Rewrite the manifest's checksum of one artifact to match the file."""
+    digest = hashlib.sha256((dataset / name).read_bytes()).hexdigest()
+    manifest = dataset / "manifest.txt"
+    lines = [
+        f"checksum.{name} = {digest}" if line.startswith(f"checksum.{name} = ") else line
+        for line in manifest.read_text().splitlines()
+    ]
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+def _alter_a_sample(out):
+    samples = np.load(out / "samples.npy")
+    samples[0, 0, 0] += 1.0
+    np.save(out / "samples.npy", samples)
+
+
+def _append_a_byte(out):
+    with open(out / "samples.npy", "ab") as fh:
+        fh.write(b"\0")
+
+
+def _swap_two_indices(out):
+    # the index column stays a permutation, so every row is well formed
+    header, rows = read_table(out / "patches.csv")
+    col = header.index("index")
+    rows[0][col], rows[1][col] = rows[1][col], rows[0][col]
+    write_table(out / "patches.csv", header, rows)
+
+
+def _change_the_recorded_algorithm(out):
+    # a reconstruction key, which a given config may override
+    config = (out / "config.txt").read_text()
+    altered = config.replace("algorithm = intersect", "algorithm = procedure2")
+    assert altered != config
+    (out / "config.txt").write_text(altered)
+
+
+@pytest.mark.parametrize(
+    "alter, name",
+    [
+        (_alter_a_sample, "samples.npy"),
+        (_append_a_byte, "samples.npy"),
+        (_swap_two_indices, "patches.csv"),
+        (_change_the_recorded_algorithm, "config.txt"),
+    ],
+    ids=["sample_changed", "byte_appended", "patches", "config"],
+)
+def test_reconstruct_rejects_an_artifact_that_does_not_match_the_manifest(
+    small_dataset, tmp_path, alter, name
+):
+    out = shutil.copytree(small_dataset, tmp_path / "run")
+    alter(out)
+    with pytest.raises(CorruptDatasetError, match=f"{name} in .* does not match"):
+        reconstruct_run(SMALL, out, tmp_path / "rec", seed=7)
+
+
+def test_load_dataset_needs_the_manifest_to_record_each_checksum(small_dataset, tmp_path):
+    out = shutil.copytree(small_dataset, tmp_path / "run")
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    kept = [line for line in manifest if not line.startswith("checksum.samples.npy")]
+    assert len(kept) == len(manifest) - 1
+    (out / "manifest.txt").write_text("\n".join(kept) + "\n")
+    with pytest.raises(CorruptDatasetError, match="records no checksum of samples.npy"):
+        load_dataset(SMALL, out)
+
+
+@pytest.mark.parametrize(
+    "stored",
+    [lambda s: s.real.astype(np.float64), lambda s: s.astype(object)],
+    ids=["float64", "object"],
+)
+def test_load_dataset_rejects_samples_that_are_not_complex(
+    small_dataset, tmp_path, monkeypatch, stored
+):
+    out = shutil.copytree(small_dataset, tmp_path / "run")
+    np.save(out / "samples.npy", stored(np.load(out / "samples.npy")), allow_pickle=True)
+    _record_checksum(out, "samples.npy")
+
+    def unpickle(*args, **kwargs):
+        raise AssertionError("load_dataset unpickled samples.npy")
+
+    monkeypatch.setattr(pickle, "load", unpickle)
+    monkeypatch.setattr(pickle, "loads", unpickle)
+    with pytest.raises(CorruptDatasetError, match="samples.npy in .* not complex"):
+        load_dataset(SMALL, out)
+
+
+@pytest.mark.parametrize(
+    "stored",
+    [lambda s: s.astype(np.complex128), np.asfortranarray],
+    ids=["complex128", "fortran_order"],
+)
+def test_load_dataset_reads_samples_stored_otherwise(small_dataset, tmp_path, stored):
+    out = shutil.copytree(small_dataset, tmp_path / "run")
+    np.save(out / "samples.npy", stored(np.load(out / "samples.npy")))
+    _record_checksum(out, "samples.npy")
+    for loaded, original in zip(load_dataset(SMALL, out), load_dataset(SMALL, small_dataset)):
+        assert loaded.samples.dtype == np.complex128
+        assert np.array_equal(loaded.samples, original.samples)
 
 
 def test_load_dataset_rejects_an_empty_patches_file(tmp_path):

@@ -159,10 +159,7 @@ def write_manifest(out: Path, cfg: RunConfig, seed: int, extra_lines: list[str])
 
 # --------------------------------------------------------------- simulate
 
-PATCH_COLUMNS = [
-    "index", "slot", "channel", "tx_id", "rx_id", "carrier_hz",
-    "center_x", "center_y", "tilt", "planar",
-]
+PATCH_COLUMNS = ["slot", "channel", "tx_id", "rx_id", "tilt", "planar"]
 
 
 def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
@@ -236,16 +233,7 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
                     scene, tx, beam, rx, wf, footprint=footprint,
                     illuminated=(pixels, values),
                 )
-                if not np.any(patch.samples):
-                    skipped["dark_footprint"] += 1
-                    continue
-                rows.append(
-                    [
-                        len(rows), slot, ch, tx.station_id, rx.station_id,
-                        wf.carrier_frequency, footprint.center.x, footprint.center.y,
-                        tilt, azimuth,
-                    ]
-                )
+                rows.append([slot, ch, tx.station_id, rx.station_id, tilt, azimuth])
                 # synthesized in complex128, stored at a receiver's precision
                 sample_blocks.append(patch.samples.astype(np.complex64))
 
@@ -274,25 +262,36 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
 def load_dataset(cfg: RunConfig, dataset: Path):
     """Rebuild MeasurementPatch objects from a simulate_run dataset.
 
+    The dataset's config.txt is the one source of its geometry: the
+    given config must equal it in every section except reconstruction
+    and output_dir, or ConfigError names the conflicting key. Row i of
+    patches.csv describes samples.npy[i]; its footprint is rebuilt from
+    its transmitter, tilt and planar angle and the config's open angle,
+    and its region center is that footprint's center. Columns besides
+    PATCH_COLUMNS are ignored.
+
     samples.npy is read once, as complex128 whatever complex type it is
     stored in (simulate_run stores complex64). Raises CorruptDatasetError
     when samples.npy cannot be read, is not a complex array (rejected
     from its header, so nothing is unpickled) or does not hold one finite
     (antenna, subcarrier) grid per patches.csv row, when patches.csv
-    lacks a column, and when one of its rows is malformed: the index
-    column is not a permutation of 0..P-1, the channel is not a
-    configured channel, the carrier is not that channel's, the center,
-    tilt or planar angle is not finite, the tilt makes no valid beam, or
-    the footprint of the beam rebuilt from tx, tilt, planar angle and the
-    config's open angle is not centered on the row's center (within
-    1e-6 m). Each patch carries that footprint. Last, samples.npy,
-    patches.csv and config.txt must match the sha256 checksums that
-    manifest.txt records; a mismatch or a missing checksum raises
-    CorruptDatasetError naming the file.
+    lacks a column, and when one of its rows is malformed: the channel
+    is not a configured channel, a station is not in the configured
+    network, the tilt or planar angle is not finite, or the tilt makes
+    no valid beam. Last, samples.npy, patches.csv and config.txt must
+    match the sha256 checksums that manifest.txt records; a mismatch or
+    a missing checksum raises CorruptDatasetError naming the file.
     """
     for name in ("patches.csv", "samples.npy", "config.txt", "manifest.txt"):
         if not (dataset / name).is_file():
             raise MissingDatasetError(f"no {name} in dataset {dataset}")
+    pairs = zip(
+        serialize_config(cfg).splitlines(),
+        serialize_config(load_config(dataset / "config.txt")).splitlines(),
+    )
+    for given, simulated in pairs:
+        if given != simulated and not given.startswith(("reconstruction.", "output_dir")):
+            raise ConfigError(f"{given} conflicts with the dataset's {simulated}")
     header, rows = read_table(dataset / "patches.csv")
     missing = [name for name in PATCH_COLUMNS if name not in header]
     if missing:
@@ -307,46 +306,25 @@ def load_dataset(cfg: RunConfig, dataset: Path):
         "config.txt": _sha256(dataset / "config.txt"),
     }
     stations = {s.station_id: s for s in build_network(cfg)}
-    # a dataset of another network fails here, before its footprints do
-    named = {v for row in rows for k, v in zip(header, row) if k in ("tx_id", "rx_id")}
-    foreign = sorted(named - stations.keys())
-    if foreign:
-        raise ConfigError(
-            f"dataset station {foreign[0]} is not in the configured "
-            f"{cfg.network.grid_side}x{cfg.network.grid_side} network"
-        )
+    network = f"a station of the {cfg.network.grid_side}x{cfg.network.grid_side} network"
     channels = cfg.schedule.channel_count
     open_angle = math.radians(cfg.beam.open_angle_deg)
-    used: set[int] = set()
     patches = []
-    for line, row in enumerate(rows, start=2):
+    for line, (row, grid) in enumerate(zip(rows, samples), start=2):
         if len(row) != len(header):
             raise CorruptDatasetError(
                 f"patches.csv line {line} has {len(row)} fields, not {len(header)}"
             )
         cells = dict(zip(header, row))
-        index = _cell(
-            cells, line, "index", int, lambda v: 0 <= v < len(rows) and v not in used,
-            f"a patch index in 0..{len(rows) - 1} that no earlier row uses",
-        )
-        used.add(index)
         channel = _cell(
             cells, line, "channel", int, lambda v: 0 <= v < channels,
             f"a channel in 0..{channels - 1}",
         )
+        tx = _cell(cells, line, "tx_id", stations.get, bool, network)
+        rx = _cell(cells, line, "rx_id", stations.get, bool, network)
         wf = channel_waveform(cfg, channel)
-        _cell(
-            cells, line, "carrier_hz", float,
-            lambda v: math.isclose(v, wf.carrier_frequency, rel_tol=1e-9),
-            f"channel {channel}'s carrier {wf.carrier_frequency!r}",
-        )
-        center = GroundPoint(
-            _cell(cells, line, "center_x", float, math.isfinite, "a finite number"),
-            _cell(cells, line, "center_y", float, math.isfinite, "a finite number"),
-        )
-        tx, rx = stations[cells["tx_id"]], stations[cells["rx_id"]]
-        footprint = _footprint(cells, line, tx, open_angle, center)
-        patches.append(MeasurementPatch(samples[index], tx, rx, wf, center, footprint))
+        footprint = _footprint(cells, line, tx, open_angle)
+        patches.append(MeasurementPatch(grid, tx, rx, wf, footprint.center, footprint))
     recorded = _manifest_checksums(dataset / "manifest.txt")
     for name, digest in digests.items():
         if name not in recorded:
@@ -423,8 +401,8 @@ def _manifest_checksums(path: Path) -> dict[str, str]:
     return checksums
 
 
-def _footprint(cells, line, tx, open_angle, center):
-    """The footprint of the row's beam, which must be centered on its center."""
+def _footprint(cells, line, tx, open_angle):
+    """The footprint of the row's beam."""
     tilt = _cell(cells, line, "tilt", float, math.isfinite, "a finite number")
     planar = _cell(cells, line, "planar", float, math.isfinite, "a finite number")
     try:
@@ -434,15 +412,6 @@ def _footprint(cells, line, tx, open_angle, center):
             f"patches.csv line {line}, column tilt: {cells['tilt']!r} is not "
             f"a valid beam tilt ({exc})"
         ) from None
-    for name, given, rebuilt in (
-        ("center_x", center.x, footprint.center.x),
-        ("center_y", center.y, footprint.center.y),
-    ):
-        if abs(given - rebuilt) > 1e-6:
-            raise CorruptDatasetError(
-                f"patches.csv line {line}, column {name}: {cells[name]!r} is not "
-                f"the center {rebuilt!r} of the beam its tilt and planar columns give"
-            )
     return footprint
 
 
@@ -485,29 +454,14 @@ def _largest_beam_group(patches):
     return max(groups.values(), key=len)
 
 
-def _check_dataset_config(cfg: RunConfig, dataset: Path) -> None:
-    """Reject a config whose simulation sections differ from the dataset's."""
-    recorded = dataset / "config.txt"
-    if not recorded.is_file():
-        raise MissingDatasetError(f"dataset at {dataset} has no config.txt")
-    pairs = zip(
-        serialize_config(cfg).splitlines(),
-        serialize_config(load_config(recorded)).splitlines(),
-    )
-    for given, simulated in pairs:
-        if given != simulated and not given.startswith(("reconstruction.", "output_dir")):
-            raise ConfigError(f"{given} conflicts with the dataset's {simulated}")
-
-
 def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None:
     """Dispatch the configured algorithm over a dataset and write artifacts.
 
-    The config's simulation sections must equal the dataset's config.txt;
-    only the reconstruction section and output_dir may differ.
+    The dataset is loaded, and so checked, before out is created; the
+    config's simulation sections must equal the dataset's config.txt.
     """
-    _check_dataset_config(cfg, dataset)
-    out.mkdir(parents=True, exist_ok=True)
     raw = load_dataset(cfg, dataset)
+    out.mkdir(parents=True, exist_ok=True)
     rcfg = cfg.reconstruction
     report = _report_header(cfg, len(raw))
     algorithm = rcfg.algorithm

@@ -14,6 +14,7 @@ import pytest
 
 import netsar
 from netsar.cli import (
+    PATCH_COLUMNS,
     build_network,
     build_scene,
     channel_waveform,
@@ -307,11 +308,19 @@ def _append_a_byte(out):
         fh.write(b"\0")
 
 
-def _swap_two_indices(out):
-    # the index column stays a permutation, so every row is well formed
+def _swap_two_rows(out):
+    # every row stays well formed, but no longer describes its samples
     header, rows = read_table(out / "patches.csv")
-    col = header.index("index")
-    rows[0][col], rows[1][col] = rows[1][col], rows[0][col]
+    assert rows[0] != rows[1]
+    rows[0], rows[1] = rows[1], rows[0]
+    write_table(out / "patches.csv", header, rows)
+
+
+def _turn_a_beam(out):
+    # a valid beam, aimed elsewhere
+    header, rows = read_table(out / "patches.csv")
+    col = header.index("planar")
+    rows[0][col] = repr(float(rows[0][col]) + 0.1)
     write_table(out / "patches.csv", header, rows)
 
 
@@ -328,10 +337,11 @@ def _change_the_recorded_algorithm(out):
     [
         (_alter_a_sample, "samples.npy"),
         (_append_a_byte, "samples.npy"),
-        (_swap_two_indices, "patches.csv"),
+        (_swap_two_rows, "patches.csv"),
+        (_turn_a_beam, "patches.csv"),
         (_change_the_recorded_algorithm, "config.txt"),
     ],
-    ids=["sample_changed", "byte_appended", "patches", "config"],
+    ids=["sample_changed", "byte_appended", "patches", "planar_changed", "config"],
 )
 def test_reconstruct_rejects_an_artifact_that_does_not_match_the_manifest(
     small_dataset, tmp_path, alter, name
@@ -406,24 +416,9 @@ def _set_cell(row, column, value):
     return lambda header, rows: rows[row].__setitem__(header.index(column), value)
 
 
-def _repeat_first_index(header, rows):
-    col = header.index("index")
-    rows[1][col] = rows[0][col]
-
-
-def _shift_carrier(header, rows):
-    col = header.index("carrier_hz")
-    rows[0][col] = repr(float(rows[0][col]) + 1.0e6)
-
-
-def _rename_channel_column(header, rows):
-    header[header.index("channel")] = "chan"
-
-
-def _shift(row, column, delta):
+def _rename_column(name):
     def damage(header, rows):
-        col = header.index(column)
-        rows[row][col] = repr(float(rows[row][col]) + delta)
+        header[header.index(name)] = f"{name}_renamed"
 
     return damage
 
@@ -431,43 +426,27 @@ def _shift(row, column, delta):
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (_set_cell(0, "index", "99"), "line 2, column index"),
-        (_set_cell(0, "index", "x"), "line 2, column index"),
-        (_repeat_first_index, "line 3, column index"),
         (_set_cell(0, "channel", "9"), "line 2, column channel"),
         (_set_cell(0, "channel", "-1"), "line 2, column channel"),
-        (_shift_carrier, "line 2, column carrier_hz"),
-        (_set_cell(0, "center_x", "nan"), "line 2, column center_x"),
-        (_set_cell(1, "center_y", "north"), "line 3, column center_y"),
-        (lambda header, rows: rows[1].pop(), "line 3 has 9 fields"),
-        (_rename_channel_column, r"no column \['channel'\]"),
+        (_set_cell(0, "tx_id", "bs99"), "line 2, column tx_id: 'bs99' is not a station"),
+        (lambda header, rows: rows[1].pop(), "line 3 has 5 fields"),
         (_set_cell(0, "tilt", "nan"), "line 2, column tilt"),
         (_set_cell(1, "planar", "inf"), "line 3, column planar"),
         (_set_cell(0, "tilt", "-0.1"), "line 2, column tilt: '-0.1' is not a valid beam"),
         (_set_cell(1, "tilt", "1.5"), "line 3, column tilt: '1.5' is not a valid beam"),
-        (_shift(0, "center_x", 2e-6), "line 2, column center_x: .* is not the center"),
-        (_shift(1, "center_y", -2e-6), "line 3, column center_y: .* is not the center"),
-        (_shift(0, "planar", 0.1), "line 2, column center_[xy]: .* is not the center"),
-    ],
+    ]
+    + [(_rename_column(name), rf"no column \['{name}'\]") for name in PATCH_COLUMNS],
     ids=[
-        "index_past_the_end",
-        "index_not_a_number",
-        "index_repeated",
         "channel_past_the_end",
         "channel_negative",
-        "carrier_of_no_channel",
-        "center_not_finite",
-        "center_not_a_number",
+        "tx_unknown",
         "row_short",
-        "column_missing",
         "tilt_not_finite",
         "planar_not_finite",
         "tilt_negative",
         "beam_edge_past_the_horizon",
-        "center_x_off_the_beam",
-        "center_y_off_the_beam",
-        "planar_turns_the_beam",
-    ],
+    ]
+    + [f"column_missing_{name}" for name in PATCH_COLUMNS],
 )
 def test_load_dataset_rejects_a_malformed_patch_table(
     small_dataset, tmp_path, damage, message
@@ -524,8 +503,51 @@ def test_load_dataset_names_a_station_missing_from_the_config(tmp_path):
         SMALL, network=dataclasses.replace(SMALL.network, grid_side=3)
     )
     assert simulate_run(wide, out, seed=7) > 0
-    with pytest.raises(ConfigError, match=r"station bs(2\d|\d2) "):
+    with pytest.raises(ConfigError, match=r"network\.grid_side = 2 conflicts"):
         load_dataset(SMALL, out)
+
+
+@pytest.mark.parametrize(
+    "section, change",
+    [
+        ("beam", {"open_angle_deg": 12.0}),
+        ("network", {"grid_spacing_m": 120.0}),
+        ("waveform", {"carrier_frequency_hz": 6.0e9}),
+        ("network", {"station_height_m": 50.0}),
+    ],
+    ids=["open_angle", "grid_spacing", "carrier", "station_height"],
+)
+def test_load_dataset_rejects_a_config_the_dataset_was_not_simulated_with(
+    small_dataset, section, change
+):
+    cfg = dataclasses.replace(
+        SMALL, **{section: dataclasses.replace(getattr(SMALL, section), **change)}
+    )
+    (key,) = change
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} = .* conflicts"):
+        load_dataset(cfg, small_dataset)
+
+
+def test_load_dataset_ignores_the_columns_earlier_datasets_stored(small_dataset, tmp_path):
+    # patches.csv once also stored each row's index, carrier and footprint
+    # center, all of which follow from the config and the beam
+    out = shutil.copytree(small_dataset, tmp_path / "run")
+    patches = load_dataset(SMALL, small_dataset)
+    header, rows = read_table(out / "patches.csv")
+    old = ["index", "slot", "channel", "tx_id", "rx_id", "carrier_hz",
+           "center_x", "center_y", "tilt", "planar"]
+    table = []
+    for index, (row, p) in enumerate(zip(rows, patches)):
+        cells = dict(zip(header, row), index=index, carrier_hz=p.waveform.carrier_frequency,
+                     center_x=p.region_center.x, center_y=p.region_center.y)
+        table.append([cells[name] for name in old])
+    write_table(out / "patches.csv", old, table)
+    _record_checksum(out, "patches.csv")
+    for loaded, p in zip(load_dataset(SMALL, out), patches, strict=True):
+        assert np.array_equal(loaded.samples, p.samples)
+        assert np.array_equal(loaded.direction, p.direction)
+        for name in ("tx", "rx", "bistatic_scale", "region_center", "waveform", "footprint"):
+            assert getattr(loaded, name) == getattr(p, name), name
 
 
 def test_reconstruct_intersect_writes_estimates(tmp_path):
@@ -658,6 +680,15 @@ def test_reconstruct_isar_reports_the_blas_thread_count(
     reconstruct_run(cfg, small_dataset, tmp_path, seed=7)
     report = (tmp_path / "report.txt").read_text().splitlines()
     assert f"isar_blas_threads = {expected}" in report
+
+
+def test_reconstruct_of_a_refused_dataset_leaves_no_output_directory(small_dataset, tmp_path):
+    out = shutil.copytree(small_dataset, tmp_path / "run")
+    raw = (out / "samples.npy").read_bytes()
+    (out / "samples.npy").write_bytes(raw[:-16])
+    with pytest.raises(CorruptDatasetError, match="samples.npy"):
+        reconstruct_run(SMALL, out, tmp_path / "rec", seed=7)
+    assert not (tmp_path / "rec").exists()
 
 
 def test_reconstruct_needs_the_dataset_config(tmp_path):

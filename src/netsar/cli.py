@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import math
 import os
 import sys
@@ -148,13 +149,43 @@ def _config_hash(cfg: RunConfig) -> str:
 
 
 def write_manifest(out: Path, cfg: RunConfig, seed: int, extra_lines: list[str]) -> None:
-    """key = value manifest with artifact checksums, written last."""
+    """key = value manifest with artifact checksums, written last.
+
+    A ``checksum.<artifact> = <sha256>`` line among extra_lines gives that
+    artifact's checksum, which is then not read back from disk; it is
+    listed with the other checksums, in path order.
+    """
     lines = [f"config_hash = {_config_hash(cfg)}", f"seed = {seed}"]
-    lines.extend(extra_lines)
+    known = {}
+    for line in extra_lines:
+        key, _, value = line.partition(" = ")
+        if key.startswith("checksum."):
+            known[key] = value
+        else:
+            lines.append(line)
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.txt":
-            lines.append(f"checksum.{path.relative_to(out)} = {_sha256(path)}")
+            key = f"checksum.{path.relative_to(out)}"
+            lines.append(f"{key} = {known.get(key) or _sha256(path)}")
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+
+def _save_npy(path: Path, array: np.ndarray) -> str:
+    """np.save a C-contiguous array to path; returns the file's sha256.
+
+    The header is the one np.save writes (format 1.0), and the array is
+    written and hashed from its own buffer, without a copy.
+    """
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, np.lib.format.header_data_from_array_1_0(array)
+    )
+    with open(path, "wb") as fh:
+        fh.write(header.getbuffer())
+        fh.write(array)
+    digest = hashlib.sha256(header.getbuffer())
+    digest.update(array)
+    return digest.hexdigest()
 
 
 # --------------------------------------------------------------- simulate
@@ -248,9 +279,8 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
             (0, cfg.network.antenna_count, cfg.waveform.subcarrier_count), dtype=np.complex64
         )
     )
-    np.save(out / "samples.npy", stacked)
-
-    extra = [f"patch_count = {len(rows)}"]
+    extra = [f"checksum.samples.npy = {_save_npy(out / 'samples.npy', stacked)}"]
+    extra += [f"patch_count = {len(rows)}"]
     extra += [f"skipped.{reason} = {n}" for reason, n in sorted(skipped.items())]
     write_manifest(out, cfg, seed, extra)
     return len(rows)
@@ -467,8 +497,7 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
     algorithm = rcfg.algorithm
 
     if algorithm == "intersect":
-        aligned = [align_and_place(p) for p in raw]
-        profiles = [range_profiles(a, rcfg.peak_threshold_db) for a in aligned]
+        profiles = [range_profiles(align_and_place(p), rcfg.peak_threshold_db) for p in raw]
         window = SPEED_OF_LIGHT / (2.0 * cfg.waveform.subcarrier_spacing_hz)
         estimates, diag = intersect_lines(
             profiles,

@@ -208,10 +208,15 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """Parse a UTF-8 config file; ConfigError names a file that is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_config(text)
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))

@@ -27,12 +27,16 @@ def align_distance(patch: MeasurementPatch) -> MeasurementPatch:
     the composite station-to-center distance, removing the bulk phase at
     each subcarrier's wavenumber.
     """
+    return replace(patch, samples=patch.samples * _distance_correction(patch)[None, :])
+
+
+def _distance_correction(patch: MeasurementPatch) -> np.ndarray:
+    """``align_distance``'s factor of each subcarrier, (M,)."""
     center = patch.region_center.as_array()
     d_tx = np.linalg.norm(patch.tx.position.as_array() - center)
     d_rx = np.linalg.norm(patch.rx.position.as_array() - center)
     k = patch.waveform.wavenumbers()
-    correction = (d_tx * d_rx) * np.exp(1j * k * (d_tx + d_rx))
-    return replace(patch, samples=patch.samples * correction[None, :])
+    return (d_tx * d_rx) * np.exp(1j * k * (d_tx + d_rx))
 
 
 def misalignment_angle(patch: MeasurementPatch) -> float:
@@ -54,14 +58,28 @@ def align_orientation(patch: MeasurementPatch) -> MeasurementPatch:
     imprints phase -k_m * o_l * sin(psi) on antenna offset o_l; this
     multiplies by the conjugate ramp. Exact identity when psi = 0.
     """
-    psi = misalignment_angle(patch)
-    s = math.sin(psi)
+    ramp = _orientation_ramp(patch)
+    return patch if ramp is None else replace(patch, samples=patch.samples * ramp)
+
+
+def _orientation_ramp(patch: MeasurementPatch) -> np.ndarray | None:
+    """``align_orientation``'s ramp exp(j a_l k_m), (N_a, M); None when psi = 0.
+
+    With a_l = o_l sin(psi) and m = b*B + r, B = isqrt(M), the ramp is the
+    product of the phasors exp(j a_l k_{bB}) and exp(j a_l (k_r - k_0)):
+    N_a * (B + ceil(M / B)), about 2 N_a sqrt(M), exponentials in place of
+    N_a * M. The last coarse block is trimmed to M.
+    """
+    s = math.sin(misalignment_angle(patch))
     if s == 0.0:
-        return patch
-    offsets = antenna_offsets(patch.rx.antenna_count, patch.rx.antenna_spacing)
+        return None
+    a = antenna_offsets(patch.rx.antenna_count, patch.rx.antenna_spacing) * s
     k = patch.waveform.wavenumbers()
-    ramp = np.exp(1j * np.outer(offsets * s, k))
-    return replace(patch, samples=patch.samples * ramp)
+    step = math.isqrt(k.size)
+    coarse = np.exp(1j * np.outer(a, k[::step]))
+    fine = np.exp(1j * np.outer(a, k[:step] - k[0]))
+    ramp = coarse[:, :, None] * fine[:, None, :]
+    return ramp.reshape(a.size, -1)[:, : k.size]
 
 
 def wavenumber_vectors(patch: MeasurementPatch) -> np.ndarray:
@@ -86,6 +104,11 @@ def align_and_place(patch: MeasurementPatch) -> MeasurementPatch:
     Sample (l, m) of the result sits in the ground-plane spectrum at
     ``wavenumber_vectors(patch)[l, m, :2]``. The radial spacing between
     adjacent subcarriers is therefore 2*pi*delta_f/c times the bistatic
-    scale factor |u_tx + u_rx|.
+    scale factor |u_tx + u_rx|. Both corrections are applied to one copy
+    of the samples, and the patch is rebuilt once.
     """
-    return align_orientation(align_distance(patch))
+    samples = patch.samples * _distance_correction(patch)[None, :]
+    ramp = _orientation_ramp(patch)
+    if ramp is not None:
+        samples *= ramp
+    return replace(patch, samples=samples)

@@ -381,32 +381,33 @@ def range_profiles(
     scale = SPEED_OF_LIGHT / (wf.subcarrier_spacing * patch.bistatic_scale)
 
     threshold = np.median(profile) * 10.0 ** (threshold_db / 20.0)
-    peaks = []
-    for n in range(M):
-        left = profile[n - 1] if n > 0 else -np.inf
-        right = profile[n + 1] if n < M - 1 else -np.inf
-        v = profile[n]
-        if v > threshold and v >= left and v >= right:
-            r = (freq[n] + _vertex(profile, n) / M) * scale
-            peaks.append((float(r), float(v)))
-    peaks.sort(key=lambda p: -p[1])
+    # local maxima above the threshold, with -inf beyond either end
+    edged = np.concatenate(([-np.inf], profile, [-np.inf]))
+    n = np.flatnonzero(
+        (profile > threshold) & (profile >= edged[:-2]) & (profile >= edged[2:])
+    )
+    r = (freq[n] + _vertex(profile, n) / M) * scale
+    v = profile[n]
+    order = np.argsort(-v, kind="stable")
     return RangeProfile(
-        peaks=tuple(peaks),
+        peaks=tuple(zip(r[order].tolist(), v[order].tolist())),
         direction=patch.direction.copy(),
         center=patch.region_center.horizontal(),
     )
 
 
-def _vertex(line: np.ndarray, n: int) -> float:
+def _vertex(line: np.ndarray, n):
     """Offset from n of the vertex of the parabola through line[n-1:n+2].
 
     0 at either end of the line and where the curvature is not negative.
+    ``n`` is an index or an array of indices.
     """
-    if 0 < n < line.size - 1:
-        denom = line[n - 1] - 2 * line[n] + line[n + 1]
-        if denom < 0:
-            return 0.5 * (line[n - 1] - line[n + 1]) / denom
-    return 0.0
+    n = np.asarray(n)
+    left = line[np.maximum(n - 1, 0)]
+    right = line[np.minimum(n + 1, line.size - 1)]
+    denom = left - 2 * line[n] + right
+    inner = (n > 0) & (n < line.size - 1) & (denom < 0)
+    return np.where(inner, 0.5 * (left - right) / np.where(inner, denom, -1.0), 0.0)
 
 
 @dataclass
@@ -437,92 +438,103 @@ def intersect_lines(
     weighted mean of those points and scored by summed peak magnitudes.
     ``max_offset`` discards intersections farther than that from either
     patch center; ``pair_max_separation`` skips patch pairs whose
-    centers are farther apart than that.
+    centers are farther apart than that. Intersections are numbered in
+    (i, j, peak of i, peak of j) order and every sum runs in that order;
+    seeds of equal neighbourhood weight go in (cell x, cell y) order.
     """
     diag = IntersectDiagnostics()
-    if len(profiles) < 2:
+    live = [i for i, p in enumerate(profiles) if p.peaks]
+    if len(live) < 2:
         return [], diag
-    points = []
-    weights = []
-    pair_ids = []
-    for i in range(len(profiles)):
-        pi = profiles[i]
-        if not pi.peaks:
-            continue
-        dix, diy = float(pi.direction[0]), float(pi.direction[1])
-        cix, ciy = float(pi.center[0]), float(pi.center[1])
-        for j in range(i + 1, len(profiles)):
-            pj = profiles[j]
-            if not pj.peaks:
-                continue
-            djx, djy = float(pj.direction[0]), float(pj.direction[1])
-            cjx, cjy = float(pj.center[0]), float(pj.center[1])
-            if pair_max_separation is not None:
-                if math.hypot(cix - cjx, ciy - cjy) > pair_max_separation:
-                    continue
-            cross = dix * djy - diy * djx
-            if abs(cross) < min_crossing_sine:
-                diag.skipped_parallel += 1
-                continue
-            for ri, mi in pi.peaks:
-                bi = ri + dix * cix + diy * ciy
-                for rj, mj in pj.peaks:
-                    bj = rj + djx * cjx + djy * cjy
-                    qx = (bi * djy - bj * diy) / cross
-                    qy = (dix * bj - djx * bi) / cross
-                    if max_offset is not None:
-                        if (
-                            math.hypot(qx - cix, qy - ciy) > max_offset
-                            or math.hypot(qx - cjx, qy - cjy) > max_offset
-                        ):
-                            continue
-                    points.append((qx, qy))
-                    weights.append(mi + mj)
-                    pair_ids.append((i, j))
-    diag.intersections = len(points)
-    if not points:
-        return [], diag
-    pts = np.array(points)
-    w = np.array(weights)
+    direction = np.array([profiles[i].direction[:2] for i in live], dtype=float)
+    center = np.array([profiles[i].center[:2] for i in live], dtype=float)
+    count = np.array([len(profiles[i].peaks) for i in live])
+    peaks = np.array([pk for i in live for pk in profiles[i].peaks], dtype=float)
+    # each peak's line offset b in (q . direction) = b
+    d, c = (v[np.repeat(np.arange(len(live)), count)] for v in (direction, center))
+    offset = peaks[:, 0] + d[:, 0] * c[:, 0] + d[:, 1] * c[:, 1]
 
+    # patch pairs i < j in loop order; separation first, then parallel pairs
+    a, b = np.triu_indices(len(live), 1)
+    if pair_max_separation is not None:
+        far = np.hypot(*(center[a] - center[b]).T) > pair_max_separation
+        a, b = a[~far], b[~far]
+    cross = direction[a, 0] * direction[b, 1] - direction[a, 1] * direction[b, 0]
+    parallel = np.abs(cross) < min_crossing_sine
+    diag.skipped_parallel = int(np.count_nonzero(parallel))
+    a, b, cross = a[~parallel], b[~parallel], cross[~parallel]
+
+    # every (peak of i, peak of j) of every pair, in (pair, peak_i, peak_j) order
+    first = np.cumsum(count) - count
+    size = count[a] * count[b]
+    pair = np.repeat(np.arange(a.size), size)
+    local = np.arange(pair.size) - np.repeat(np.cumsum(size) - size, size)
+    ia, ib = a[pair], b[pair]
+    ki = first[ia] + local // count[ib]
+    kj = first[ib] + local % count[ib]
+    bi, bj, cross = offset[ki], offset[kj], cross[pair]
+    qx = (bi * direction[ib, 1] - bj * direction[ia, 1]) / cross
+    qy = (direction[ia, 0] * bj - direction[ib, 0] * bi) / cross
+    if max_offset is not None:
+        keep = ~(
+            (np.hypot(qx - center[ia, 0], qy - center[ia, 1]) > max_offset)
+            | (np.hypot(qx - center[ib, 0], qy - center[ib, 1]) > max_offset)
+        )
+        qx, qy, ki, kj, ia, ib = (v[keep] for v in (qx, qy, ki, kj, ia, ib))
+    diag.intersections = int(qx.size)
+    if not qx.size:
+        return [], diag
+    pts = np.stack([qx, qy], axis=1)
+    w = peaks[ki, 1] + peaks[kj, 1]
+    index = np.array(live)
+    pair_code = index[ia] * len(profiles) + index[ib]
+
+    # cells, coded by the rank of each coordinate among the cells' and
+    # their neighbours' coordinates
     cells = np.floor(pts / cluster_radius).astype(np.int64)
-    cell_points: dict[tuple[int, int], list[int]] = {}
-    cell_weight: dict[tuple[int, int], float] = {}
-    for idx, (cx, cy) in enumerate(map(tuple, cells)):
-        cell_points.setdefault((cx, cy), []).append(idx)
-        cell_weight[(cx, cy)] = cell_weight.get((cx, cy), 0.0) + float(w[idx])
+    axes = [np.unique(cells[:, k, None] + np.arange(-1, 2)) for k in (0, 1)]
 
-    def neighborhood(cell):
-        cx, cy = cell
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                yield (cx + dx, cy + dy)
+    def code(cx, cy):
+        return np.searchsorted(axes[0], cx) * axes[1].size + np.searchsorted(axes[1], cy)
 
-    seeds = []
-    for cell, weight in cell_weight.items():
-        if all(
-            weight >= cell_weight.get(nb, 0.0) for nb in neighborhood(cell)
-        ):
-            hood = sum(cell_weight.get(nb, 0.0) for nb in neighborhood(cell))
-            seeds.append((hood, cell))
-    seeds.sort(key=lambda s: (-s[0], s[1]))
-    diag.clusters = len(seeds)
+    cell_code, cell_of = np.unique(code(cells[:, 0], cells[:, 1]), return_inverse=True)
+    cell_weight = np.bincount(cell_of, weights=w)
+    # a cell's points in index order: by_cell[cell_start[c]:cell_start[c + 1]]
+    by_cell = np.argsort(cell_of, kind="stable")
+    cell_start = np.concatenate(([0], np.cumsum(np.bincount(cell_of))))
+    cell_xy = cells[by_cell[cell_start[:-1]]]
+
+    # the 3x3 neighbourhood of each cell, -1 where a neighbour holds no point
+    hood = np.empty((cell_code.size, 9), dtype=np.int64)
+    for k, (dx, dy) in enumerate((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
+        nb = code(cell_xy[:, 0] + dx, cell_xy[:, 1] + dy)
+        at = np.minimum(np.searchsorted(cell_code, nb), cell_code.size - 1)
+        hood[:, k] = np.where(cell_code[at] == nb, at, -1)
+    hood_weight = np.where(hood >= 0, cell_weight[hood], 0.0)
+    is_seed = np.all(cell_weight[:, None] >= hood_weight, axis=1)
+    # summed neighbour by neighbour, in neighbourhood order
+    total = np.zeros(cell_code.size)
+    for k in range(9):
+        total += hood_weight[:, k]
+    seeds = np.flatnonzero(is_seed)
+    seeds = seeds[np.lexsort((cell_xy[seeds, 1], cell_xy[seeds, 0], -total[seeds]))]
+    diag.clusters = int(seeds.size)
 
     estimates = []
-    accepted: list[np.ndarray] = []
-    for _, cell in seeds:
-        members = [m for nb in neighborhood(cell) for m in cell_points.get(nb, [])]
-        pairs = {pair_ids[m] for m in members}
+    accepted = np.empty((0, 2))
+    for seed in seeds:
+        members = np.concatenate(
+            [by_cell[cell_start[c]:cell_start[c + 1]] for c in hood[seed] if c >= 0]
+        )
+        pairs = set(pair_code[members].tolist())
         if len(pairs) < min_support:
             continue
         mw = w[members]
         pos = (pts[members] * mw[:, None]).sum(axis=0) / mw.sum()
-        if any(
-            np.linalg.norm(pos - prev) < 2.0 * cluster_radius for prev in accepted
-        ):
+        if np.any(np.linalg.norm(accepted - pos, axis=1) < 2.0 * cluster_radius):
             continue
-        accepted.append(pos)
-        patches_involved = {p for pair in pairs for p in pair}
+        accepted = np.vstack([accepted, pos])
+        patches_involved = {p for pair in pairs for p in divmod(pair, len(profiles))}
         estimates.append(
             ReflectorEstimate(
                 position=GroundPoint(float(pos[0]), float(pos[1])),

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import pickle
@@ -39,6 +40,7 @@ from netsar.errors import (
     InvalidBeamError,
     InvalidDistributionError,
     MissingDatasetError,
+    NetsarError,
     UnknownAlgorithmError,
 )
 from netsar.forward import synthesize_measurement
@@ -104,6 +106,22 @@ def test_simulate_writes_dataset_and_manifest(tmp_path):
     assert not [line for line in lines if line.startswith(("skip.", "patch."))]
     skipped = [line.split(" = ") for line in lines if line.startswith("skipped.")]
     assert skipped and all(value.isdigit() for _, value in skipped)
+
+
+def test_simulate_manifest_checksums_the_files_as_written(small_dataset):
+    # samples.npy is hashed as it is written, not read back; the file must
+    # be what np.save writes and every checksum that of the file on disk
+    buffer = io.BytesIO()
+    np.save(buffer, np.load(small_dataset / "samples.npy"))
+    assert (small_dataset / "samples.npy").read_bytes() == buffer.getvalue()
+    lines = (small_dataset / "manifest.txt").read_text().splitlines()
+    names = sorted(p.name for p in small_dataset.iterdir() if p.name != "manifest.txt")
+    expected = [
+        f"checksum.{name} = {hashlib.sha256((small_dataset / name).read_bytes()).hexdigest()}"
+        for name in names
+    ]
+    assert lines[-len(expected):] == expected
+    assert lines[2].startswith("patch_count = ")
 
 
 def test_simulate_deterministic(tmp_path):
@@ -505,6 +523,14 @@ def test_load_dataset_names_a_station_missing_from_the_config(tmp_path):
     assert simulate_run(wide, out, seed=7) > 0
     with pytest.raises(ConfigError, match=r"network\.grid_side = 2 conflicts"):
         load_dataset(SMALL, out)
+
+
+def test_load_dataset_names_a_config_that_is_not_utf8(small_dataset, tmp_path):
+    out = shutil.copytree(small_dataset, tmp_path / "run")
+    (out / "config.txt").write_bytes(b"\xff\xfe\x00junk")
+    with pytest.raises(NetsarError, match="config.txt is not UTF-8") as raised:
+        load_dataset(SMALL, out)
+    assert isinstance(raised.value, ConfigError)
 
 
 @pytest.mark.parametrize(

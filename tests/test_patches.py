@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from netsar.forward import WaveformSpec, synthesize_measurement
-from netsar.geometry import BaseStation, BeamSpec, EllipseFootprint, GroundPoint
+from netsar.forward import MeasurementPatch, WaveformSpec, synthesize_measurement
+from netsar.geometry import (
+    BaseStation,
+    BeamSpec,
+    EllipseFootprint,
+    GroundPoint,
+    antenna_offsets,
+)
 from netsar.patches import (
     align_and_place,
     align_distance,
@@ -99,6 +105,39 @@ def test_align_orientation_identity_at_broadside():
     patch = _patch()
     aligned = align_orientation(patch)
     assert np.array_equal(aligned.samples, patch.samples)
+
+
+@pytest.mark.parametrize("subcarrier_count", [256, 37, 1])
+def test_align_orientation_ramp_equals_the_direct_exponential(subcarrier_count):
+    # the ramp is formed from separable phasors; it must equal exp(j a_l k_m)
+    wf = WaveformSpec(
+        carrier_frequency=5e9, subcarrier_count=subcarrier_count, subcarrier_spacing=2e6
+    )
+    rx = BaseStation(
+        position=GroundPoint(0.0, 400.0, 60.0),
+        antenna_count=64,
+        antenna_spacing=0.029979,
+        array_orientation=0.7,
+        station_id="rx",
+    )
+    tx = BaseStation(position=GroundPoint(400.0, 0.0, 60.0), station_id="tx")
+    rng = np.random.default_rng(3)
+    samples = rng.normal(size=(64, subcarrier_count)) + 1j * rng.normal(
+        size=(64, subcarrier_count)
+    )
+    patch = MeasurementPatch(samples, tx, rx, wf, GroundPoint(3.0, -2.0))
+    a = antenna_offsets(64, 0.029979) * math.sin(misalignment_angle(patch))
+    ramp = np.exp(1j * np.outer(a, wf.wavenumbers()))
+    np.testing.assert_allclose(
+        align_orientation(patch).samples, samples * ramp, rtol=1e-12, atol=0
+    )
+    # align_and_place applies the distance correction and the same ramp
+    np.testing.assert_allclose(
+        align_and_place(patch).samples,
+        align_distance(patch).samples * ramp,
+        rtol=1e-12,
+        atol=0,
+    )
 
 
 def test_wavenumber_vectors_coordinates():

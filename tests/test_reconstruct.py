@@ -11,7 +11,7 @@ from netsar.cli import load_dataset, simulate_run
 from netsar.config import RunConfig
 from netsar.constants import SPEED_OF_LIGHT
 from netsar.errors import EmptyInputError, IndexOverflowError
-from netsar.forward import WaveformSpec, synthesize_measurement
+from netsar.forward import MeasurementPatch, WaveformSpec, synthesize_measurement
 from netsar.geometry import (
     BaseStation,
     BeamSpec,
@@ -21,6 +21,8 @@ from netsar.geometry import (
 )
 from netsar.patches import align_and_place, wavenumber_vectors
 from netsar.reconstruct import (
+    IntersectDiagnostics,
+    RangeProfile,
     ReconstructedImage,
     ReflectorEstimate,
     _bilinear,
@@ -490,6 +492,222 @@ def test_intersect_lines_skips_parallel_and_empty():
     assert estimates == [] and diag.skipped_parallel == 1
     estimates, diag = intersect_lines([mk()], cluster_radius=1.0)
     assert estimates == [] and diag.intersections == 0
+
+
+def _range_peaks_reference(patch, threshold_db=6.0):
+    """range_profiles' peaks as the per-bin loop found them."""
+    M = patch.waveform.subcarrier_count
+    spectra = np.fft.fft(patch.samples, axis=1)
+    profile = np.fft.fftshift(np.abs(spectra).mean(axis=0))
+    freq = np.fft.fftshift(np.fft.fftfreq(M))
+    scale = SPEED_OF_LIGHT / (patch.waveform.subcarrier_spacing * patch.bistatic_scale)
+    threshold = np.median(profile) * 10.0 ** (threshold_db / 20.0)
+    peaks = []
+    for n in range(M):
+        left = profile[n - 1] if n > 0 else -np.inf
+        right = profile[n + 1] if n < M - 1 else -np.inf
+        v = profile[n]
+        if v > threshold and v >= left and v >= right:
+            vertex = 0.0
+            if 0 < n < M - 1:
+                denom = profile[n - 1] - 2 * profile[n] + profile[n + 1]
+                if denom < 0:
+                    vertex = 0.5 * (profile[n - 1] - profile[n + 1]) / denom
+            peaks.append((float((freq[n] + vertex / M) * scale), float(v)))
+    peaks.sort(key=lambda p: -p[1])
+    return tuple(peaks), profile
+
+
+def _patch_with_profile(target):
+    """A one-antenna patch whose range profile is ``target`` (to rounding)."""
+    M = len(target)
+    wf = WaveformSpec(carrier_frequency=5e9, subcarrier_count=M, subcarrier_spacing=2e6)
+    samples = np.fft.ifft(np.fft.ifftshift(np.asarray(target, dtype=float)))[None, :]
+    tx = BaseStation(position=GroundPoint(400.0, 0.0, 50.0), station_id="tx")
+    rx = BaseStation(position=GroundPoint(380.0, 40.0, 50.0), station_id="rx")
+    return MeasurementPatch(samples, tx, rx, wf, GroundPoint(0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "case, target",
+    [
+        ("first_bin", [9.0, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0]),
+        ("last_bin", [1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 3.0, 9.0]),
+        ("plateau", [1.0, 1.0, 1.0, 2.0, 7.0, 7.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+        ("equal_peaks", [1.0, 1.0, 2.0, 7.0, 2.0, 1.0, 1.0, 1.0, 2.0, 7.0, 2.0, 1.0]),
+    ],
+)
+def test_range_profiles_edge_peaks_are_the_per_bin_loops(case, target):
+    patch = _patch_with_profile(target)
+    expected, profile = _range_peaks_reference(patch)
+    assert range_profiles(patch).peaks == expected
+    M = len(target)
+    scale = SPEED_OF_LIGHT / (patch.waveform.subcarrier_spacing * patch.bistatic_scale)
+    freq = np.fft.fftshift(np.fft.fftfreq(M))
+    ranges = [r for r, _ in expected]
+    if case == "first_bin":
+        # no neighbour beyond the end: a peak, left unrefined
+        assert ranges[0] == float(freq[0] * scale)
+    elif case == "last_bin":
+        assert ranges[0] == float(freq[M - 1] * scale)
+    elif case == "equal_peaks":
+        # peaks of one magnitude keep the order of their bins
+        assert len(expected) == 2 and ranges[0] < ranges[1]
+    else:
+        # either bin of the plateau that is not below its neighbour is a
+        # peak, and both refine to the plateau's middle
+        top = [n for n in (4, 5) if profile[n] >= profile[n - 1] and profile[n] >= profile[n + 1]]
+        assert len(expected) == len(top) >= 1
+        for r in ranges:
+            assert r == pytest.approx((freq[4] + 0.5 / M) * scale, rel=1e-9)
+
+
+def _intersect_lines_reference(
+    profiles, cluster_radius, min_support=2, min_crossing_sine=1e-3,
+    max_offset=None, pair_max_separation=None,
+):
+    """intersect_lines as the per-pair and per-cell loops computed it."""
+    diag = IntersectDiagnostics()
+    if len(profiles) < 2:
+        return [], diag
+    points, weights, pair_ids = [], [], []
+    for i in range(len(profiles)):
+        pi = profiles[i]
+        if not pi.peaks:
+            continue
+        dix, diy = float(pi.direction[0]), float(pi.direction[1])
+        cix, ciy = float(pi.center[0]), float(pi.center[1])
+        for j in range(i + 1, len(profiles)):
+            pj = profiles[j]
+            if not pj.peaks:
+                continue
+            djx, djy = float(pj.direction[0]), float(pj.direction[1])
+            cjx, cjy = float(pj.center[0]), float(pj.center[1])
+            if pair_max_separation is not None:
+                if math.hypot(cix - cjx, ciy - cjy) > pair_max_separation:
+                    continue
+            cross = dix * djy - diy * djx
+            if abs(cross) < min_crossing_sine:
+                diag.skipped_parallel += 1
+                continue
+            for ri, mi in pi.peaks:
+                bi = ri + dix * cix + diy * ciy
+                for rj, mj in pj.peaks:
+                    bj = rj + djx * cjx + djy * cjy
+                    qx = (bi * djy - bj * diy) / cross
+                    qy = (dix * bj - djx * bi) / cross
+                    if max_offset is not None:
+                        if (
+                            math.hypot(qx - cix, qy - ciy) > max_offset
+                            or math.hypot(qx - cjx, qy - cjy) > max_offset
+                        ):
+                            continue
+                    points.append((qx, qy))
+                    weights.append(mi + mj)
+                    pair_ids.append((i, j))
+    diag.intersections = len(points)
+    if not points:
+        return [], diag
+    pts = np.array(points)
+    w = np.array(weights)
+    cells = np.floor(pts / cluster_radius).astype(np.int64)
+    cell_points, cell_weight = {}, {}
+    for idx, (cx, cy) in enumerate(map(tuple, cells)):
+        cell_points.setdefault((cx, cy), []).append(idx)
+        cell_weight[(cx, cy)] = cell_weight.get((cx, cy), 0.0) + float(w[idx])
+
+    def neighborhood(cell):
+        cx, cy = cell
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                yield (cx + dx, cy + dy)
+
+    seeds = []
+    for cell, weight in cell_weight.items():
+        if all(weight >= cell_weight.get(nb, 0.0) for nb in neighborhood(cell)):
+            hood = sum(cell_weight.get(nb, 0.0) for nb in neighborhood(cell))
+            seeds.append((hood, cell))
+    seeds.sort(key=lambda s: (-s[0], s[1]))
+    diag.clusters = len(seeds)
+    estimates, accepted = [], []
+    for _, cell in seeds:
+        members = [m for nb in neighborhood(cell) for m in cell_points.get(nb, [])]
+        pairs = {pair_ids[m] for m in members}
+        if len(pairs) < min_support:
+            continue
+        mw = w[members]
+        pos = (pts[members] * mw[:, None]).sum(axis=0) / mw.sum()
+        if any(np.linalg.norm(pos - prev) < 2.0 * cluster_radius for prev in accepted):
+            continue
+        accepted.append(pos)
+        estimates.append(
+            ReflectorEstimate(
+                position=GroundPoint(float(pos[0]), float(pos[1])),
+                score=float(mw.sum()),
+                supporting_lines=len({p for pair in pairs for p in pair}),
+            )
+        )
+    estimates.sort(key=lambda e: -e.score)
+    return estimates, diag
+
+
+def _random_profiles(rng):
+    """Profiles of a few reflectors seen from random stations, with empty
+    peak lists, parallel and antiparallel look directions and clutter
+    peaks. Half the trials draw magnitudes from a small set, so that cell
+    weights tie; the others draw them at random, so that the order of
+    each sum shows in its last bits."""
+    truth = rng.uniform(-15.0, 15.0, size=(rng.integers(1, 5), 2))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=rng.integers(2, 14))
+    angles[rng.random(angles.size) < 0.3] = angles[0]
+    angles[rng.random(angles.size) < 0.15] = angles[0] + np.pi
+    if rng.random() < 0.5:
+        magnitude = lambda: float(rng.choice([1.0, 1.5, 2.0, 2.5]))
+    else:
+        magnitude = lambda: float(rng.uniform(1.0, 3.0))
+    profiles = []
+    for angle in angles:
+        d = np.array([math.cos(angle), math.sin(angle)])
+        center = rng.uniform(-20.0, 20.0, size=2)
+        peaks = []
+        if rng.random() > 0.15:
+            for t in truth:
+                if rng.random() < 0.8:
+                    r = (t - center) @ d + rng.normal(0.0, 0.2)
+                    peaks.append((float(r), magnitude()))
+            for _ in range(rng.integers(0, 3)):
+                peaks.append((float(rng.uniform(-30.0, 30.0)), magnitude()))
+        peaks.sort(key=lambda p: -p[1])
+        profiles.append(RangeProfile(peaks=tuple(peaks), direction=d, center=center))
+    return profiles
+
+
+@pytest.mark.parametrize("max_offset", [None, 25.0])
+@pytest.mark.parametrize("pair_max_separation", [None, 30.0])
+def test_intersect_lines_matches_the_loop_reference(max_offset, pair_max_separation):
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        profiles = _random_profiles(rng)
+        kwargs = dict(
+            cluster_radius=float(rng.choice([0.5, 1.0, 2.0])),
+            min_support=int(rng.integers(2, 4)),
+            max_offset=max_offset,
+            pair_max_separation=pair_max_separation,
+        )
+        got, got_diag = intersect_lines(profiles, **kwargs)
+        want, want_diag = _intersect_lines_reference(profiles, **kwargs)
+        assert got_diag == want_diag, trial
+        assert got == want, trial
+
+
+def test_intersect_lines_of_profiles_without_peaks_matches_the_reference():
+    d = np.array([0.0, 1.0])
+    empty = RangeProfile(peaks=(), direction=d, center=np.zeros(2))
+    one = RangeProfile(peaks=((1.0, 1.0),), direction=d, center=np.zeros(2))
+    for profiles in ([], [empty], [empty, empty], [empty, one, empty]):
+        assert intersect_lines(profiles, cluster_radius=1.0) == (
+            _intersect_lines_reference(profiles, cluster_radius=1.0)
+        )
 
 
 def test_reflector_estimate_validation():

@@ -170,21 +170,27 @@ def write_manifest(out: Path, cfg: RunConfig, seed: int, extra_lines: list[str])
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _save_npy(path: Path, array: np.ndarray) -> str:
-    """np.save a C-contiguous array to path; returns the file's sha256.
+def _save_npy(path: Path, shape: tuple[int, ...], blocks) -> str:
+    """Write the complex64 array of the given shape, block by block, to path.
 
-    The header is the one np.save writes (format 1.0), and the array is
-    written and hashed from its own buffer, without a copy.
+    The file is the one np.save writes of that array (format 1.0), its
+    header built from the shape alone. The blocks are the array's
+    shape[0] rows in turn; each is cast to complex64, written and hashed
+    as it comes, so the whole array is never held. Returns the file's
+    sha256.
     """
     header = io.BytesIO()
+    descr = np.lib.format.dtype_to_descr(np.dtype(np.complex64))
     np.lib.format.write_array_header_1_0(
-        header, np.lib.format.header_data_from_array_1_0(array)
+        header, {"descr": descr, "fortran_order": False, "shape": shape}
     )
+    digest = hashlib.sha256(header.getbuffer())
     with open(path, "wb") as fh:
         fh.write(header.getbuffer())
-        fh.write(array)
-    digest = hashlib.sha256(header.getbuffer())
-    digest.update(array)
+        for block in blocks:
+            row = np.ascontiguousarray(block, dtype=np.complex64)
+            fh.write(row)
+            digest.update(row)
     return digest.hexdigest()
 
 
@@ -202,8 +208,13 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     other station not transmitting on that channel and within the
     maximum receive distance of the footprint records a patch. Patches
     whose footprint contains no nonzero scene pixel are skipped; the
-    manifest counts the skips by reason. Samples are synthesized in
-    complex128 and stored in samples.npy as complex64.
+    manifest counts the skips by reason.
+
+    The loop only plans: it makes every draw and classifies every beam,
+    and keeps each recorded patch's row and synthesis inputs. Then the
+    patches are synthesized in complex128 one at a time, each stored in
+    samples.npy as complex64 and hashed as it is written, so no more than
+    one patch's samples are held at once.
     """
     out.mkdir(parents=True, exist_ok=True)
     scene = build_scene(cfg)
@@ -216,7 +227,7 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     slot_seeds = root.spawn(sch.slot_count)
 
     rows: list[list] = []
-    sample_blocks: list[np.ndarray] = []
+    plan: list[tuple] = []
     skipped: Counter[str] = Counter()
     for slot in range(sch.slot_count):
         rng = np.random.default_rng(slot_seeds[slot])
@@ -260,26 +271,22 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
                 skipped["dark_footprint"] += len(receivers)
                 continue
             for rx in receivers:
-                patch = synthesize_measurement(
-                    scene, tx, beam, rx, wf, footprint=footprint,
-                    illuminated=(pixels, values),
-                )
                 rows.append([slot, ch, tx.station_id, rx.station_id, tilt, azimuth])
-                # synthesized in complex128, stored at a receiver's precision
-                sample_blocks.append(patch.samples.astype(np.complex64))
+                plan.append((tx, beam, rx, wf, footprint, (pixels, values)))
 
     scene_to_csv(scene, out / "scene.csv")
     write_pgm(np.abs(scene.reflectivity), out / "scene.pgm")
     save_config(cfg, out / "config.txt")
     write_table(out / "patches.csv", PATCH_COLUMNS, rows)
-    stacked = (
-        np.stack(sample_blocks)
-        if sample_blocks
-        else np.zeros(
-            (0, cfg.network.antenna_count, cfg.waveform.subcarrier_count), dtype=np.complex64
-        )
+    shape = (len(plan), cfg.network.antenna_count, cfg.waveform.subcarrier_count)
+    # synthesized in complex128, stored at a receiver's precision
+    blocks = (
+        synthesize_measurement(
+            scene, tx, beam, rx, wf, footprint=footprint, illuminated=lit
+        ).samples
+        for tx, beam, rx, wf, footprint, lit in plan
     )
-    extra = [f"checksum.samples.npy = {_save_npy(out / 'samples.npy', stacked)}"]
+    extra = [f"checksum.samples.npy = {_save_npy(out / 'samples.npy', shape, blocks)}"]
     extra += [f"patch_count = {len(rows)}"]
     extra += [f"skipped.{reason} = {n}" for reason, n in sorted(skipped.items())]
     write_manifest(out, cfg, seed, extra)
@@ -300,8 +307,11 @@ def load_dataset(cfg: RunConfig, dataset: Path):
     and its region center is that footprint's center. Columns besides
     PATCH_COLUMNS are ignored.
 
-    samples.npy is read once, as complex128 whatever complex type it is
-    stored in (simulate_run stores complex64). Raises CorruptDatasetError
+    samples.npy is read once, into one array kept at the complex type it
+    is stored in (simulate_run stores complex64); each patch's samples
+    are a view of its row, made of the very bytes the manifest's checksum
+    was compared against. Alignment widens each patch to complex128 as it
+    multiplies it by its correction. Raises CorruptDatasetError
     when samples.npy cannot be read, is not a complex array (rejected
     from its header, so nothing is unpickled) or does not hold one finite
     (antenna, subcarrier) grid per patches.csv row, when patches.csv
@@ -369,13 +379,14 @@ def load_dataset(cfg: RunConfig, dataset: Path):
 
 
 def _read_samples(path: Path, shape: tuple[int, int, int]) -> tuple[np.ndarray, str]:
-    """samples.npy as a complex128 array of the given shape, and its sha256.
+    """samples.npy as an array of the given shape and stored dtype, and its sha256.
 
     Streams the file once. Its header is parsed first, so a file of the
     wrong shape or of a non-complex dtype (an object array included) is
     rejected before any sample is read or memory is allocated for it.
-    Then each patch's grid is read, hashed, checked for finiteness at its
-    stored precision and converted into one preallocated array.
+    Then each row of the file is read straight into one preallocated
+    array of the stored dtype, hashed and checked for finiteness, so the
+    array returned holds exactly the bytes that were hashed.
     """
     readers = {
         (1, 0): np.lib.format.read_array_header_1_0,
@@ -400,13 +411,11 @@ def _read_samples(path: Path, shape: tuple[int, int, int]) -> tuple[np.ndarray, 
         data_start = fh.tell()
         fh.seek(0)
         digest = hashlib.sha256(fh.read(data_start))
-        samples = np.empty(shape, dtype=complex)
         # a Fortran-ordered file stores the rows of the transpose in turn
-        rows = samples.T if fortran_order else samples
+        stored_rows = np.empty(shape[::-1] if fortran_order else shape, dtype)
         # the parts' float dtype: np.isfinite runs about twice as fast on it
         part = np.empty(0, dtype).real.dtype
-        raw = np.empty(rows[0].size * dtype.itemsize, dtype=np.uint8)
-        for row in rows:
+        for raw in stored_rows.reshape(len(stored_rows), -1).view(np.uint8):
             if fh.readinto(raw) != raw.size:
                 raise CorruptDatasetError(f"{path.name} in {path.parent} is truncated")
             digest.update(raw)
@@ -414,11 +423,10 @@ def _read_samples(path: Path, shape: tuple[int, int, int]) -> tuple[np.ndarray, 
                 raise CorruptDatasetError(
                     f"{path.name} in {path.parent} holds non-finite samples"
                 )
-            row[...] = raw.view(dtype).reshape(row.shape)
         # bytes past the last sample belong to the file's checksum too
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
-    return samples, digest.hexdigest()
+    return (stored_rows.T if fortran_order else stored_rows), digest.hexdigest()
 
 
 def _manifest_checksums(path: Path) -> dict[str, str]:

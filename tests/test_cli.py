@@ -46,7 +46,7 @@ from netsar.errors import (
 from netsar.forward import synthesize_measurement
 from netsar.geometry import BeamSpec, beam_footprint
 from netsar.imageio import read_pgm, read_table, write_table
-from netsar.patches import align_and_place
+from netsar.patches import align_and_place, align_distance
 
 SMALL = RunConfig(
     scene=SceneConfig(extent_m=200.0, resolution_m=1.0, reflector_count=12, seed=1),
@@ -149,7 +149,33 @@ def test_simulate_zero_probability_records_nothing(tmp_path):
     )
     out = tmp_path / "quiet"
     assert simulate_run(quiet, out, seed=7) == 0
-    assert np.load(out / "samples.npy").shape[0] == 0
+    # the file np.save writes of an empty stack, checksummed as written
+    buffer = io.BytesIO()
+    shape = (0, SMALL.network.antenna_count, SMALL.waveform.subcarrier_count)
+    np.save(buffer, np.zeros(shape, dtype=np.complex64))
+    written = (out / "samples.npy").read_bytes()
+    assert written == buffer.getvalue()
+    digest = hashlib.sha256(written).hexdigest()
+    assert f"checksum.samples.npy = {digest}" in (out / "manifest.txt").read_text()
+
+
+def test_a_simulation_that_fails_midway_leaves_no_loadable_dataset(tmp_path, monkeypatch):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("synthesis failed")
+        return synthesize_measurement(*args, **kwargs)
+
+    monkeypatch.setattr(netsar.cli, "synthesize_measurement", failing)
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="synthesis failed"):
+        simulate_run(SMALL, out, seed=7)
+    assert len(calls) == 3
+    assert not (out / "manifest.txt").exists()
+    with pytest.raises(MissingDatasetError, match="manifest.txt"):
+        load_dataset(SMALL, out)
 
 
 def test_receive_distance_limit(tmp_path):
@@ -240,7 +266,8 @@ def test_load_dataset_round_trip(tmp_path):
     assert len(patches) == count
     p = patches[0]
     assert p.samples.shape == (16, SMALL.waveform.subcarrier_count)
-    assert p.samples.dtype == np.complex128
+    # kept at the precision samples.npy stores; alignment widens each patch
+    assert p.samples.dtype == np.complex64
     assert p.tx.station_id != p.rx.station_id
     with pytest.raises(MissingDatasetError):
         load_dataset(SMALL, tmp_path / "nope")
@@ -403,16 +430,36 @@ def test_load_dataset_rejects_samples_that_are_not_complex(
 
 @pytest.mark.parametrize(
     "stored",
-    [lambda s: s.astype(np.complex128), np.asfortranarray],
-    ids=["complex128", "fortran_order"],
+    [lambda s: s.astype(np.complex128), np.asfortranarray, lambda s: s.astype(">c8")],
+    ids=["complex128", "fortran_order", "big_endian"],
 )
 def test_load_dataset_reads_samples_stored_otherwise(small_dataset, tmp_path, stored):
     out = shutil.copytree(small_dataset, tmp_path / "run")
     np.save(out / "samples.npy", stored(np.load(out / "samples.npy")))
     _record_checksum(out, "samples.npy")
+    dtype = np.load(out / "samples.npy").dtype
     for loaded, original in zip(load_dataset(SMALL, out), load_dataset(SMALL, small_dataset)):
-        assert loaded.samples.dtype == np.complex128
+        assert loaded.samples.dtype == dtype
         assert np.array_equal(loaded.samples, original.samples)
+
+
+def test_loaded_patches_share_one_sample_array(small_dataset):
+    patches = load_dataset(SMALL, small_dataset)
+    stack = patches[0].samples.base
+    assert stack is not None and stack.shape == (len(patches), *patches[0].samples.shape)
+    for i, p in enumerate(patches):
+        assert p.samples.base is stack
+        assert np.shares_memory(p.samples, stack[i])
+
+
+def test_alignment_of_a_loaded_patch_equals_that_of_its_widened_samples(small_dataset):
+    # the complex64 samples are widened exactly as they are multiplied
+    for p in load_dataset(SMALL, small_dataset):
+        wide = dataclasses.replace(p, samples=p.samples.astype(np.complex128))
+        for align in (align_and_place, align_distance):
+            got, want = align(p).samples, align(wide).samples
+            assert got.dtype == want.dtype == np.complex128
+            assert got.tobytes() == want.tobytes()
 
 
 def test_load_dataset_rejects_an_empty_patches_file(tmp_path):

@@ -50,14 +50,7 @@ from .forward import (
 )
 from .geometry import BaseStation, BeamSpec, GroundPoint, beam_footprint
 from .imageio import read_table, write_pgm, write_table
-from .isar import (
-    VoxelGrid,
-    WavenumberSample,
-    build_sensing_tensor,
-    invert_sensing_tensor,
-    voxel_grid_slices_to_pgm,
-    voxel_grid_to_csv,
-)
+from .isar import VoxelGrid, solve_voxel_grid, voxel_grid_slices_to_pgm, voxel_grid_to_csv
 from .patches import align_and_place, align_distance, wavenumber_vectors
 from .reconstruct import (
     estimate_height,
@@ -589,13 +582,11 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         values = np.concatenate([align_distance(p).samples.reshape(-1) for p in group])
         stride = max(1, kvecs.shape[0] // 1500)
         kvecs, values = kvecs[::stride], values[::stride]
-        # aligned samples carry exp(+j k . p): negate k for the e^{-j} model
-        samples = [WavenumberSample(k_vector=-v) for v in kvecs]
         grid = VoxelGrid(M_side=8, spacing=cfg.scene.extent_m / 16.0)
-        tensor = build_sensing_tensor(samples, grid)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            voxels, rank = invert_sensing_tensor(tensor, values, grid)
+            # aligned samples carry exp(+j k . p): negate k for the e^{-j} model
+            voxels, rank = solve_voxel_grid(-kvecs, values, grid)
         voxel_grid_to_csv(voxels, out / "voxels.csv")
         voxel_grid_slices_to_pgm(voxels, out, stem="voxels")
         # the solve's last bits depend on how BLAS splits it across threads

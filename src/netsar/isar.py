@@ -1,11 +1,13 @@
 """Volumetric reconstruction from wavenumber-space samples.
 
 Each (antenna, subcarrier) measurement is a sample of the 3-D source
-spectrum at one wavenumber vector. Collecting K such samples gives a
-dense K x M^3 linear map onto a voxel grid, inverted by LAPACK's
-``gelsd`` minimum-norm least-squares solve: singular values at most
-tol * sigma_max count as zero, and neither U nor the pseudo-inverse is
-formed; ``pseudo_inverse`` (one truncated SVD) is its oracle. This is a
+spectrum at one wavenumber vector. K such samples give a dense K x M^3
+map onto a voxel grid. ``solve_voxel_grid`` inverts it by one real
+LAPACK ``gelsd`` minimum-norm least-squares solve: pairing each voxel
+with its mirror makes the map real, with the same singular values, and
+singular values at most tol * sigma_max count as zero. The complex map
+and solve (``build_sensing_tensor``, ``invert_sensing_tensor``) and one
+truncated SVD (``pseudo_inverse``) stay as its oracle. This is a
 desk-scale verification path, so the grid is capped at M_side <= 16 and
 everything is dense.
 """
@@ -113,17 +115,57 @@ def invert_sensing_tensor(
             f"{measurements.shape[0]} measurements and {n_vox} voxels"
         )
     rho, _, rank, _ = np.linalg.lstsq(tensor, measurements, rcond=svd_tolerance)
-    rank = int(rank)
+    return _solved(grid, rho, rank)
+
+
+def _solved(grid: VoxelGrid, rho: np.ndarray, rank) -> tuple[VoxelGrid, int]:
+    """(grid copy with values, int rank), warning when the rank is short."""
+    rank, n_vox = int(rank), grid.M_side**3
     if rank < n_vox:
         warnings.warn(
             f"sensing map rank {rank} < voxel count {n_vox}: "
             "minimum-norm solution returned",
-            stacklevel=2,
+            stacklevel=3,
         )
     out = VoxelGrid(
         M_side=grid.M_side, spacing=grid.spacing, values=rho.reshape(grid.shape)
     )
     return out, rank
+
+
+def solve_voxel_grid(
+    k_vectors, measurements, grid: VoxelGrid, svd_tolerance: float = 1e-10
+) -> tuple[VoxelGrid, int]:
+    """``invert_sensing_tensor`` of the map of (K, 3) k_vectors, solved as a real map.
+
+    The map is diag(exp(-j k.r_c)) times a map on r' = r - r_c, with r_c the
+    grid's center (-spacing/2 per axis for even M_side, else 0). Flat voxels
+    v and N-1-v have opposite r', so the unitary change x_v, x_N-1-v =
+    (y_v +- j y_N-1-v) / sqrt(2) makes their columns sqrt(2) cos(k.r'_v) and
+    sqrt(2) sin(k.r'_v); an odd grid's center keeps a column of ones. The
+    singular values, rank and minimum-norm solution stay, and one real
+    ``gelsd`` solves for the real and imaginary parts together.
+    """
+    k = np.asarray(k_vectors, dtype=float)
+    if len(k) == 0:
+        raise EmptyInputError("at least one wavenumber sample is required")
+    if k.ndim != 2 or k.shape[1] != 3 or not np.all(np.isfinite(k)):
+        raise ValueError("k_vector must be 3 finite components")
+    if np.shape(measurements) != (len(k),):
+        raise ValueError(f"{np.shape(measurements)} measurements inconsistent with K = {len(k)}")
+    n_vox, half = grid.M_side**3, grid.M_side**3 // 2
+    r_c = ((grid.M_side - 1) / 2 - grid.offset) * grid.spacing
+    phase = k @ (grid.voxel_positions()[:half] - r_c).T  # a real GEMM, as above
+    # every column over sqrt(2): the same rank, and y comes out times sqrt(2)
+    center = np.full((len(k), n_vox % 2), np.sqrt(0.5))
+    real_map = np.concatenate([np.cos(phase), center, np.sin(phase[:, ::-1])], axis=1)
+    b = np.exp(1j * r_c * k.sum(axis=1)) * measurements
+    y, _, rank, _ = np.linalg.lstsq(real_map, np.c_[b.real, b.imag], rcond=svd_tolerance)
+    y = y[:, 0] + 1j * y[:, 1]
+    rho = (y + 1j * y[::-1]) / 2
+    rho[n_vox - half:] *= -1j
+    rho[half:n_vox - half] = y[half:n_vox - half] / np.sqrt(2)
+    return _solved(grid, rho, rank)
 
 
 def pseudo_inverse(tensor: np.ndarray, svd_tolerance: float = 1e-10) -> np.ndarray:

@@ -89,8 +89,7 @@ def bin_spectrum(
         raise EmptyInputError("at least one aligned patch is required")
     dk = 2.0 * np.pi / pixel_extent
     n = 2 * S
-    acc = np.zeros((n, n), dtype=complex)
-    counts = np.zeros((n, n), dtype=np.int64)
+    cells, values = [], []
     for patch in patches:
         coords = wavenumber_vectors(patch)[..., :2].reshape(-1, 2)
         idx = np.rint(coords / dk).astype(np.int64)
@@ -101,10 +100,14 @@ def bin_spectrum(
                 f"sample {where} of patch {patch.tx.station_id}->{patch.rx.station_id} at "
                 f"wavenumber {coords[where]} falls outside the {n}x{n} grid"
             )
-        gi = idx[:, 0] + S
-        gj = idx[:, 1] + S
-        np.add.at(acc, (gi, gj), patch.samples.reshape(-1))
-        np.add.at(counts, (gi, gj), 1)
+        cells.append((idx[:, 0] + S) * n + idx[:, 1] + S)
+        values.append(patch.samples.reshape(-1))
+    # one bincount over all patches adds each cell's samples in input order
+    cells, values = np.concatenate(cells), np.concatenate(values)
+    acc = np.empty(n * n, dtype=complex)
+    acc.real = np.bincount(cells, weights=values.real, minlength=n * n)
+    acc.imag = np.bincount(cells, weights=values.imag, minlength=n * n)
+    acc, counts = acc.reshape(n, n), np.bincount(cells, minlength=n * n).reshape(n, n)
     filled = counts > 0
     acc[filled] = acc[filled] / counts[filled]
     return acc
@@ -126,10 +129,13 @@ def procedure1_invert(
         if not np.allclose(p.region_center.as_array(), center.as_array()):
             raise ValueError("procedure 1 requires a common region center")
     dx = pixel_extent / (2 * S)
-    grid = bin_spectrum(patches, S, pixel_extent)
-    image = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(grid)))
+    grid = np.fft.ifftshift(bin_spectrum(patches, S, pixel_extent))
+    # fft2 transforms axis 1, then axis 0; rows without a sample stay zero
+    rows = np.flatnonzero(grid.any(axis=1))
+    grid[rows] = np.fft.fft(grid[rows], axis=1)
+    np.fft.fft(grid, axis=0, out=grid)
     return ReconstructedImage(
-        magnitude=np.abs(image),
+        magnitude=np.fft.fftshift(np.abs(grid)),
         pixel_spacing=(dx, dx),
         origin=center,
     )

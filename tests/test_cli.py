@@ -704,6 +704,20 @@ def test_no_reconstruction_reads_the_ground_truth(small_dataset, tmp_path):
             assert (seen / name).read_bytes() == (unseen / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("algorithm", ["isar", "procedure1"])
+def test_a_rerun_of_the_dense_reconstructions_is_byte_identical(
+    small_dataset, tmp_path, algorithm
+):
+    cfg = dataclasses.replace(SMALL, reconstruction=ReconstructionConfig(algorithm=algorithm))
+    for run in ("a", "b"):
+        reconstruct_run(cfg, small_dataset, tmp_path / run, seed=7)
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "manifest.txt" in names and len(names) > 2
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_product_fusion_of_a_multi_beam_dataset_is_not_blank(small_dataset, tmp_path):
     footprints = {p.footprint for p in load_dataset(SMALL, small_dataset)}
     assert len(footprints) > 1

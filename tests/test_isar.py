@@ -12,6 +12,7 @@ from netsar.isar import (
     build_sensing_tensor,
     invert_sensing_tensor,
     pseudo_inverse,
+    solve_voxel_grid,
     voxel_grid_slices_to_pgm,
     voxel_grid_to_csv,
 )
@@ -88,16 +89,19 @@ def test_inversion_recovers_field_exactly():
     assert np.abs(out.values.reshape(27) - field).max() < 1e-8
 
 
-def _single_array_tensor(grid):
+def _single_array_samples():
     """A single linear array samples only one k-plane: rank < M_side^3."""
     antennas = np.stack([np.linspace(-1, 1, 8), np.zeros(8), np.full(8, 50.0)], axis=1)
     units = antennas / np.linalg.norm(antennas, axis=1)[:, None]
-    samples = [
+    return [
         WavenumberSample(k_vector=2 * np.pi * f / SPEED_OF_LIGHT * u)
         for u in units
         for f in np.linspace(5e9, 5.1e9, 6)
     ]
-    return build_sensing_tensor(samples, grid)
+
+
+def _single_array_tensor(grid):
+    return build_sensing_tensor(_single_array_samples(), grid)
 
 
 def test_rank_deficient_warns_minimum_norm():
@@ -144,6 +148,65 @@ def test_inversion_equals_the_pseudo_inverse_oracle(tensor):
     )
     got = out.values.reshape(-1)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _solve_noting_warnings(solve, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out, rank = solve(*args)
+    return out.values.reshape(-1), rank, [(str(w.message), w.filename) for w in caught]
+
+
+# Even grids have their center off the origin; odd grids have a voxel that
+# is its own mirror. Spacing 1 keeps every kept singular value of these
+# sets above 1e-3 * sigma_max. At spacing 0.4 the single-array set on the
+# 8^3 grid keeps one at 3e-9 * sigma_max, where summing the oracle's own
+# phases in another order moves pseudo_inverse's solution by 1e-6.
+@pytest.mark.parametrize("m_side", [2, 3, 8])
+@pytest.mark.parametrize("k_set", ["full", "single_array", "fewer_than_voxels"])
+def test_the_real_solve_equals_the_complex_oracle(m_side, k_set):
+    grid = VoxelGrid(M_side=m_side, spacing=1.0)
+    rng = np.random.default_rng(m_side)
+    samples = {
+        "full": lambda: _dense_samples(m_side, 1.0, oversample=2),
+        "single_array": _single_array_samples,
+        "fewer_than_voxels": lambda: [
+            WavenumberSample(k_vector=k) for k in rng.normal(size=(m_side**3 // 2, 3))
+        ],
+    }[k_set]()
+    kvecs = np.stack([s.k_vector for s in samples])
+    meas = rng.normal(size=len(kvecs)) + 1j * rng.normal(size=len(kvecs))
+    A = build_sensing_tensor(samples, grid)
+    _, old_rank, old_warnings = _solve_noting_warnings(invert_sensing_tensor, A, meas, grid)
+    got, rank, new_warnings = _solve_noting_warnings(solve_voxel_grid, kvecs, meas, grid)
+    assert type(rank) is int and rank == old_rank
+    assert new_warnings == old_warnings
+    assert all(filename == __file__ for _, filename in new_warnings)
+    deficient = rank < m_side**3
+    assert deficient == (k_set != "full") == bool(new_warnings)
+    expected = pseudo_inverse(A) @ meas
+    bound = 1e-9 if deficient else 1e-11
+    assert np.abs(got - expected).max() <= bound * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("m_side", [2, 3, 8])
+def test_the_real_solve_refuses_what_the_oracle_refuses(m_side):
+    grid = VoxelGrid(M_side=m_side, spacing=1.0)
+    with pytest.raises(EmptyInputError):
+        build_sensing_tensor([], grid)
+    with pytest.raises(EmptyInputError):
+        solve_voxel_grid(np.empty((0, 3)), np.empty(0, complex), grid)
+    for bad in ([[0.0, np.inf, 1.0]], [[np.nan, 0.0, 1.0]], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            WavenumberSample(k_vector=np.array(bad[0]))
+        with pytest.raises(ValueError, match="3 finite components"):
+            solve_voxel_grid(np.array(bad), np.ones(1, complex), grid)
+    kvecs = np.ones((3, 3))
+    A = build_sensing_tensor([WavenumberSample(k_vector=k) for k in kvecs], grid)
+    with pytest.raises(ValueError, match="inconsistent"):
+        invert_sensing_tensor(A, np.ones(2, complex), grid)
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_voxel_grid(kvecs, np.ones(2, complex), grid)
 
 
 def test_pseudo_inverse_properties():

@@ -98,6 +98,40 @@ def test_bin_spectrum_averages_collisions():
     assert np.allclose(grid, single)
 
 
+def _low_carrier_group():
+    # a low carrier keeps the sample clouds inside a 1024^2 grid of 400 m;
+    # the repeated patch makes every one of its cells a collision
+    low = WaveformSpec(carrier_frequency=1e6, subcarrier_count=64, subcarrier_spacing=2e6)
+    first = _aligned((0.125, 0.125), (400.0, 0.0), (380.0, 50.0), n_ant=4, wf=low)
+    second = _aligned((3.125, -2.375), (0.0, 400.0), (50.0, 380.0), n_ant=6, wf=low)
+    return [first, second, first]
+
+
+def test_bin_spectrum_adds_as_add_at_does():
+    patches, S, pixel_extent = _low_carrier_group(), 512, 400.0
+    dk, n = 2.0 * np.pi / pixel_extent, 2 * S
+    acc = np.zeros((n, n), dtype=complex)
+    counts = np.zeros((n, n), dtype=np.int64)
+    for patch in patches:
+        coords = wavenumber_vectors(patch)[..., :2].reshape(-1, 2)
+        idx = np.rint(coords / dk).astype(int) + S
+        np.add.at(acc, (idx[:, 0], idx[:, 1]), patch.samples.reshape(-1))
+        np.add.at(counts, (idx[:, 0], idx[:, 1]), 1)
+    assert counts.max() > 2
+    filled = counts > 0
+    acc[filled] = acc[filled] / counts[filled]
+    assert bin_spectrum(patches, S, pixel_extent).tobytes() == acc.tobytes()
+
+
+def test_procedure1_skips_only_rows_that_transform_to_zero():
+    patches, S, pixel_extent = _low_carrier_group(), 512, 400.0
+    grid = bin_spectrum(patches, S, pixel_extent)
+    assert 0 < np.count_nonzero(grid.any(axis=1)) < 2 * S
+    expected = np.abs(np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(grid))))
+    image = procedure1_invert(patches, S, pixel_extent)
+    assert image.magnitude.tobytes() == expected.tobytes()
+
+
 def test_procedure1_peak_near_scatterer():
     p = (2.125, -1.375)
     patches = [

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import EmptyInputError
 from .imageio import write_pgm, write_table
 
+_SVD_TOLERANCE = 1e-10  # singular values at most this times sigma_max count as zero
+
 
 @dataclass(frozen=True)
 class WavenumberSample:
@@ -133,9 +135,7 @@ def _solved(grid: VoxelGrid, rho: np.ndarray, rank) -> tuple[VoxelGrid, int]:
     return out, rank
 
 
-def solve_voxel_grid(
-    k_vectors, measurements, grid: VoxelGrid, svd_tolerance: float = 1e-10
-) -> tuple[VoxelGrid, int]:
+def solve_voxel_grid(k_vectors, measurements, grid: VoxelGrid) -> tuple[VoxelGrid, int]:
     """``invert_sensing_tensor`` of the map of (K, 3) k_vectors, solved as a real map.
 
     The map is diag(exp(-j k.r_c)) times a map on r' = r - r_c, with r_c the
@@ -160,7 +160,8 @@ def solve_voxel_grid(
     center = np.full((len(k), n_vox % 2), np.sqrt(0.5))
     real_map = np.concatenate([np.cos(phase), center, np.sin(phase[:, ::-1])], axis=1)
     b = np.exp(1j * r_c * k.sum(axis=1)) * measurements
-    y, _, rank, _ = np.linalg.lstsq(real_map, np.c_[b.real, b.imag], rcond=svd_tolerance)
+    b = np.stack([b.real, b.imag], axis=1)
+    y, _, rank, _ = np.linalg.lstsq(real_map, b, rcond=_SVD_TOLERANCE)
     y = y[:, 0] + 1j * y[:, 1]
     rho = (y + 1j * y[::-1]) / 2
     rho[n_vox - half:] *= -1j

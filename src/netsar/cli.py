@@ -3,7 +3,7 @@
 Subcommands:
   simulate     run the slotted network measurement loop, write a dataset
   reconstruct  image or localize from a dataset with the configured algorithm
-  analyze      slice-check | onedim-mse | tradeoff verification paths
+  analyze      slice-check | tradeoff verification paths
   scene        generate and export the ground-truth scene only
 
 Every run writes a manifest recording the config hash, the seed, and a
@@ -25,13 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    loglog_slope,
-    mse_monte_carlo,
-    projection_slice_check,
-    resolutions,
-    statistics_to_csv,
-)
+from .analysis import projection_slice_check, resolutions
 from .config import RunConfig, load_config, save_config, serialize_config
 from .constants import SPEED_OF_LIGHT
 from .errors import (
@@ -489,8 +483,14 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
     """Dispatch the configured algorithm over a dataset and write artifacts.
 
     The dataset is loaded, and so checked, before out is created; the
-    config's simulation sections must equal the dataset's config.txt.
+    config's simulation sections must equal the dataset's config.txt. An
+    out that resolves to the dataset directory raises ConfigError before
+    anything is read or written.
     """
+    if out.resolve() == dataset.resolve():
+        raise ConfigError(
+            f"output directory {out} is the dataset {dataset}; write the reconstruction elsewhere"
+        )
     raw = load_dataset(cfg, dataset)
     out.mkdir(parents=True, exist_ok=True)
     rcfg = cfg.reconstruction
@@ -498,13 +498,13 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
     algorithm = rcfg.algorithm
 
     if algorithm == "intersect":
-        profiles = [range_profiles(align_and_place(p), rcfg.peak_threshold_db) for p in raw]
+        profiles = [range_profiles(align_and_place(p), threshold_db=12.0) for p in raw]
         window = SPEED_OF_LIGHT / (2.0 * cfg.waveform.subcarrier_spacing_hz)
         estimates, diag = intersect_lines(
             profiles,
-            cluster_radius=rcfg.cluster_radius_m,
-            min_support=rcfg.min_support,
-            min_crossing_sine=rcfg.min_crossing_sine,
+            cluster_radius=3.0,
+            min_support=3,
+            min_crossing_sine=0.3,
             max_offset=0.45 * window,
             pair_max_separation=0.9 * window,
         )
@@ -524,8 +524,7 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         ]
     elif algorithm == "procedure2":
         images = [
-            procedure2_per_patch(align_and_place(p), pad_factor=rcfg.pad_factor)
-            for p in raw
+            procedure2_per_patch(align_and_place(p), pad_factor=2) for p in raw
         ]
         fused = fuse_images(
             images,
@@ -541,18 +540,15 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         k_max = (
             4.0 * np.pi * (wf_top.carrier_frequency + wf_top.bandwidth) / SPEED_OF_LIGHT
         )
-        pixel_extent = 0.9 * rcfg.spectrum_half_size * 2.0 * np.pi / k_max
-        image = procedure1_invert(aligned, rcfg.spectrum_half_size, pixel_extent)
+        S = 512
+        pixel_extent = 0.9 * S * 2.0 * np.pi / k_max
+        image = procedure1_invert(aligned, S, pixel_extent)
         write_pgm(image.magnitude, out / "procedure1.pgm")
         report += [
             f"procedure1_patches = {len(aligned)}",
             f"pixel_extent_m = {pixel_extent!r}",
         ]
     elif algorithm == "3d":
-        if rcfg.height_plane_count < 4:
-            raise UnknownAlgorithmError(
-                "3d mode needs reconstruction.height_plane_count >= 4"
-            )
         truth = scene_from_csv(
             dataset / "scene.csv",
             (cfg.scene.extent_m, cfg.scene.extent_m),
@@ -562,13 +558,14 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
             truth.height if truth.height is not None else np.zeros(truth.shape)
         )
         base = np.abs(truth.reflectivity)
+        step = 0.1  # rad/m between height planes
         planes = np.stack(
             [
-                base * np.exp(-1j * i * rcfg.height_step_rad_per_m * height)
+                base * np.exp(-1j * i * step * height)
                 for i in range(rcfg.height_plane_count)
             ]
         )
-        est, valid = estimate_height(planes, rcfg.height_step_rad_per_m)
+        est, valid = estimate_height(planes, step)
         rows = []
         for ix, iy in zip(*np.nonzero(valid)):
             rows.append([int(ix), int(iy), float(est[ix, iy]), float(height[ix, iy])])
@@ -601,8 +598,6 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
             f"isar_blas_threads = {blas_threads}",
         ]
         report += [f"isar_warning = {w.message}" for w in caught]
-    else:
-        raise UnknownAlgorithmError(f"unknown algorithm {algorithm!r}")
 
     (out / "report.txt").write_text("\n".join(report) + "\n")
     write_manifest(
@@ -629,16 +624,6 @@ def analyze_run(cfg: RunConfig, subcommand: str, out: Path, seed: int, args) -> 
             ],
         )
         print(f"slice-check angle={args.angle} relative error {err:.3e}")
-    elif subcommand == "onedim-mse":
-        rows = mse_monte_carlo(256, 128, [4, 8, 16, 32, 64], args.trials, seed)
-        statistics_to_csv(rows, out / "mse.csv")
-        byn: dict[int, list[float]] = {}
-        for n, _, m in rows:
-            byn.setdefault(n, []).append(m)
-        ns = np.array(sorted(byn))
-        means = np.array([np.mean(byn[n]) for n in ns])
-        slope = loglog_slope(ns, means)
-        print(f"onedim-mse slope {slope:.3f}")
     elif subcommand == "tradeoff":
         channel = (
             channel_from_csv(args.channel) if args.channel else example_channel()
@@ -675,11 +660,10 @@ def main(argv=None) -> int:
     p_rec.add_argument("--dataset", type=Path, required=True)
 
     p_ana = sub.add_parser("analyze", help="verification analyses")
-    p_ana.add_argument("subcommand", choices=["slice-check", "onedim-mse", "tradeoff"])
+    p_ana.add_argument("subcommand", choices=["slice-check", "tradeoff"])
     _add_common(p_ana)
     p_ana.add_argument("--angle", type=float, default=0.0)
     p_ana.add_argument("--size", type=int, default=32)
-    p_ana.add_argument("--trials", type=int, default=200)
     p_ana.add_argument("--channel", type=Path, default=None)
 
     p_scn = sub.add_parser("scene", help="generate and export the scene")

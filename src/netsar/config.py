@@ -55,16 +55,9 @@ class BeamConfig:
 @dataclass(frozen=True)
 class ReconstructionConfig:
     algorithm: str = "intersect"
-    spectrum_half_size: int = 512
     pixel_spacing_m: float = 0.25
-    pad_factor: int = 2
     fusion_method: str = "mean"
-    peak_threshold_db: float = 12.0
-    cluster_radius_m: float = 3.0
-    min_support: int = 3
-    min_crossing_sine: float = 0.3
     height_plane_count: int = 0
-    height_step_rad_per_m: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -120,22 +113,14 @@ def _validate(cfg: RunConfig) -> None:
     _require(b.aim_radius_m >= 0, "beam.aim_radius_m", "must be nonnegative")
     _require(r.algorithm in _ALGORITHMS, "reconstruction.algorithm",
              f"must be one of {_ALGORITHMS}")
-    _require(r.spectrum_half_size >= 1, "reconstruction.spectrum_half_size",
-             "must be >= 1")
     _require(r.pixel_spacing_m > 0, "reconstruction.pixel_spacing_m",
              "must be positive")
-    _require(r.pad_factor >= 1, "reconstruction.pad_factor", "must be >= 1")
     _require(r.fusion_method in ("mean", "product"),
              "reconstruction.fusion_method", "must be mean or product")
-    _require(r.cluster_radius_m > 0, "reconstruction.cluster_radius_m",
-             "must be positive")
-    _require(r.min_support >= 2, "reconstruction.min_support", "must be >= 2")
-    _require(0 < r.min_crossing_sine <= 1, "reconstruction.min_crossing_sine",
-             "must lie in (0, 1]")
-    _require(r.height_plane_count == 0 or r.height_plane_count >= 4,
-             "reconstruction.height_plane_count", "must be 0 or >= 4")
-    _require(r.height_step_rad_per_m > 0,
-             "reconstruction.height_step_rad_per_m", "must be positive")
+    _require(r.height_plane_count >= 4
+             or (r.height_plane_count == 0 and r.algorithm != "3d"),
+             "reconstruction.height_plane_count",
+             "must be >= 4, or 0 when the algorithm is not 3d")
 
 
 _SECTIONS = {

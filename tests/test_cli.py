@@ -41,7 +41,6 @@ from netsar.errors import (
     InvalidDistributionError,
     MissingDatasetError,
     NetsarError,
-    UnknownAlgorithmError,
 )
 from netsar.forward import synthesize_measurement
 from netsar.geometry import BeamSpec, beam_footprint
@@ -634,14 +633,17 @@ def test_reconstruct_intersect_writes_estimates(tmp_path):
     assert (out / "manifest.txt").exists()
 
 
-def test_reconstruct_unknown_3d_without_planes(tmp_path):
-    data = tmp_path / "data"
-    simulate_run(SMALL, data, seed=7)
-    cfg = dataclasses.replace(
-        SMALL, reconstruction=ReconstructionConfig(algorithm="3d")
-    )
-    with pytest.raises(UnknownAlgorithmError):
-        reconstruct_run(cfg, data, tmp_path / "rec", seed=7)
+def test_reconstruct_refuses_to_write_into_its_own_dataset(tmp_path, monkeypatch):
+    # the dataset's config.txt says output_dir = out, the directory it is in
+    monkeypatch.chdir(tmp_path)
+    simulate_run(SMALL, Path("out"), seed=7)
+    manifest = (tmp_path / "out" / "manifest.txt").read_bytes()
+    with pytest.raises(ConfigError, match="output directory out is the dataset"):
+        main(["reconstruct", "--dataset", "./out"])
+    with pytest.raises(ConfigError, match="is the dataset"):
+        reconstruct_run(SMALL, tmp_path / "out", Path("out"), seed=7)
+    assert (tmp_path / "out" / "manifest.txt").read_bytes() == manifest
+    assert not (tmp_path / "out" / "report.txt").exists()
 
 
 def test_reconstruct_3d_with_planes(tmp_path):

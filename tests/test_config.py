@@ -48,6 +48,9 @@ def test_validation_names_offending_field():
         RunConfig(reconstruction=ReconstructionConfig(algorithm="magic"))
     with pytest.raises(ConfigError, match="height_plane_count"):
         RunConfig(reconstruction=ReconstructionConfig(height_plane_count=2))
+    # the 3d algorithm needs its planes when the config is built
+    with pytest.raises(ConfigError, match="reconstruction.height_plane_count"):
+        RunConfig(reconstruction=ReconstructionConfig(algorithm="3d"))
 
 
 def test_parse_errors_name_the_line():
@@ -57,6 +60,12 @@ def test_parse_errors_name_the_line():
         parse_config("nosuch.key = 1")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("scene.nosuch = 1")
+    # reconstruction tuning values are literals in the code, not keys
+    for key in ("spectrum_half_size", "pad_factor", "peak_threshold_db",
+                "cluster_radius_m", "min_support", "min_crossing_sine",
+                "height_step_rad_per_m"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(f"reconstruction.{key} = 1")
     with pytest.raises(ConfigError, match="cannot parse"):
         parse_config("scene.extent_m = banana")
 

@@ -633,6 +633,27 @@ def test_reconstruct_intersect_writes_estimates(tmp_path):
     assert (out / "manifest.txt").exists()
 
 
+def test_reconstruct_unknown_3d_without_planes(tmp_path):
+    # a 3d config without its height planes is refused when it is built,
+    # so reconstruct stops before the dataset is read or out is made
+    data = tmp_path / "data"
+    simulate_run(SMALL, data, seed=7)
+    with pytest.raises(ConfigError, match="reconstruction.height_plane_count"):
+        dataclasses.replace(SMALL, reconstruction=ReconstructionConfig(algorithm="3d"))
+    cfg_path = tmp_path / "run.cfg"
+    save_config(SMALL, cfg_path)
+    text = cfg_path.read_text()
+    assert "reconstruction.algorithm = intersect" in text
+    cfg_path.write_text(
+        text.replace("reconstruction.algorithm = intersect", "reconstruction.algorithm = 3d")
+    )
+    rec = tmp_path / "rec"
+    with pytest.raises(ConfigError, match="reconstruction.height_plane_count"):
+        main(["reconstruct", "--config", str(cfg_path), "--dataset", str(data),
+              "--out", str(rec)])
+    assert not rec.exists()
+
+
 def test_reconstruct_refuses_to_write_into_its_own_dataset(tmp_path, monkeypatch):
     # the dataset's config.txt says output_dir = out, the directory it is in
     monkeypatch.chdir(tmp_path)

@@ -34,6 +34,7 @@ from .errors import (
     EmptyFootprintError,
     InvalidBeamError,
     MissingDatasetError,
+    NetsarError,
     UnknownAlgorithmError,
 )
 from .forward import (
@@ -479,6 +480,21 @@ def _largest_beam_group(patches):
     return max(groups.values(), key=len)
 
 
+class _PatchImages:
+    """Procedure 2's per-patch images of ``patches``, each formed as
+    iteration reaches it. Sized, so a caller may count the images without
+    forming them (``bench/spans.py`` takes ``len`` of fuse_images' input)."""
+
+    def __init__(self, patches: list[MeasurementPatch]):
+        self.patches = patches
+
+    def __len__(self) -> int:
+        return len(self.patches)
+
+    def __iter__(self):
+        return (procedure2_per_patch(align_and_place(p), pad_factor=2) for p in self.patches)
+
+
 def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None:
     """Dispatch the configured algorithm over a dataset and write artifacts.
 
@@ -523,11 +539,8 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
             f"skipped_parallel = {diag.skipped_parallel}",
         ]
     elif algorithm == "procedure2":
-        images = [
-            procedure2_per_patch(align_and_place(p), pad_factor=2) for p in raw
-        ]
         fused = fuse_images(
-            images,
+            _PatchImages(raw),
             extent=(cfg.scene.extent_m, cfg.scene.extent_m),
             spacing=rcfg.pixel_spacing_m,
             method=rcfg.fusion_method,
@@ -578,7 +591,8 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         kvecs = np.concatenate([wavenumber_vectors(p).reshape(-1, 3) for p in group])
         values = np.concatenate([align_distance(p).samples.reshape(-1) for p in group])
         stride = max(1, kvecs.shape[0] // 1500)
-        kvecs, values = kvecs[::stride], values[::stride]
+        # copies, so the full arrays are freed before the solve
+        kvecs, values = kvecs[::stride].copy(), values[::stride].copy()
         grid = VoxelGrid(M_side=8, spacing=cfg.scene.extent_m / 16.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -670,6 +684,15 @@ def main(argv=None) -> int:
     _add_common(p_scn)
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except NetsarError as exc:
+        # a refused run is one line on stderr, not a traceback
+        print(f"netsar: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(args) -> int:
     config = args.config
     if config is None and args.command == "reconstruct":
         # a dataset records the config it was simulated with

@@ -193,13 +193,16 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def load_config(path) -> RunConfig:
-    """Parse a UTF-8 config file; ConfigError names a file that is not UTF-8."""
+    """Parse a UTF-8 config file; every ConfigError it raises names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return parse_config(text)
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def save_config(cfg: RunConfig, path) -> None:

@@ -11,15 +11,21 @@ def write_pgm(field: np.ndarray, path) -> None:
     """Write a nonnegative real field as a binary PGM (P5), peak -> 255.
 
     ``field`` is indexed [ix, iy]; rows of the image run over y from top
-    (largest y) to bottom so the output reads like a map.
+    (largest y) to bottom so the output reads like a map. Pixels are
+    scaled ``field / peak * 255.0`` and truncated, a block of field rows
+    at a time, so no full-size float copy of the field is made.
     """
     field = np.asarray(field, dtype=float)
     peak = field.max()
-    scaled = np.zeros_like(field) if peak <= 0 else field / peak * 255.0
-    img = np.flipud(scaled.T).astype(np.uint8)
+    img = np.zeros(field.shape[::-1], dtype=np.uint8)
+    if peak > 0:
+        view = img[::-1].T  # view[ix, iy] is the pixel of field[ix, iy]
+        for start in range(0, field.shape[0], 64):
+            block = slice(start, start + 64)
+            view[block] = field[block] / peak * 255.0
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+        fh.write(img)
 
 
 def read_pgm(path) -> np.ndarray:

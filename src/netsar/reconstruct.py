@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,15 +103,15 @@ def bin_spectrum(
             )
         cells.append((idx[:, 0] + S) * n + idx[:, 1] + S)
         values.append(patch.samples.reshape(-1))
-    # one bincount over all patches adds each cell's samples in input order
+    # one bincount over the occupied cells adds each cell's samples in input order
     cells, values = np.concatenate(cells), np.concatenate(values)
-    acc = np.empty(n * n, dtype=complex)
-    acc.real = np.bincount(cells, weights=values.real, minlength=n * n)
-    acc.imag = np.bincount(cells, weights=values.imag, minlength=n * n)
-    acc, counts = acc.reshape(n, n), np.bincount(cells, minlength=n * n).reshape(n, n)
-    filled = counts > 0
-    acc[filled] = acc[filled] / counts[filled]
-    return acc
+    occupied, slot = np.unique(cells, return_inverse=True)
+    sums = np.empty(occupied.size, dtype=complex)
+    sums.real = np.bincount(slot, weights=values.real)
+    sums.imag = np.bincount(slot, weights=values.imag)
+    acc = np.zeros(n * n, dtype=complex)
+    acc[occupied] = sums / np.bincount(slot)
+    return acc.reshape(n, n)
 
 
 def procedure1_invert(
@@ -129,13 +130,27 @@ def procedure1_invert(
         if not np.allclose(p.region_center.as_array(), center.as_array()):
             raise ValueError("procedure 1 requires a common region center")
     dx = pixel_extent / (2 * S)
-    grid = np.fft.ifftshift(bin_spectrum(patches, S, pixel_extent))
+    grid = bin_spectrum(patches, S, pixel_extent)
+    # on a 2S x 2S grid ifftshift and fftshift both swap the diagonal quadrants
+    halves = (slice(None, S), slice(S, None))
+    quadrant = np.empty((S, S), dtype=complex)
+    for c in (0, 1):
+        near, far = (halves[0], halves[c]), (halves[1], halves[1 - c])
+        quadrant[...] = grid[near]
+        grid[near] = grid[far]
+        grid[far] = quadrant
+    del quadrant
     # fft2 transforms axis 1, then axis 0; rows without a sample stay zero
     rows = np.flatnonzero(grid.any(axis=1))
     grid[rows] = np.fft.fft(grid[rows], axis=1)
     np.fft.fft(grid, axis=0, out=grid)
+    magnitude = np.empty(grid.shape)
+    for r in (0, 1):
+        for c in (0, 1):
+            np.abs(grid[halves[r], halves[c]], out=magnitude[halves[1 - r], halves[1 - c]])
+    del grid
     return ReconstructedImage(
-        magnitude=np.fft.fftshift(np.abs(grid)),
+        magnitude=magnitude,
         pixel_spacing=(dx, dx),
         origin=center,
     )
@@ -216,7 +231,7 @@ def _keystone_grid(patch: MeasurementPatch):
 
 
 def fuse_images(
-    images: list[ReconstructedImage],
+    images: Iterable[ReconstructedImage],
     extent: tuple[float, float],
     spacing: float,
     center: GroundPoint = GroundPoint(0.0, 0.0),
@@ -239,6 +254,11 @@ def fuse_images(
     error) naming the image's index in ``images`` is issued when an
     input image does not overlap the target grid.
 
+    ``images`` may be any iterable, a generator too: each image is
+    sampled as it arrives and released before the next is drawn, so
+    fusion holds the fused grid and one running product per group, not
+    the images.
+
     An image is sampled only at the target pixels inside its sample box;
     a group's product is zero outside the intersection of its members'
     boxes. The box is the ground bounding box of the image's pixels
@@ -249,17 +269,14 @@ def fuse_images(
     widened by the image's largest pixel spacing: the cross-range
     sidelobes that reach beyond the lit ground are left out.
     """
-    if not images:
-        raise EmptyInputError("at least one image is required")
     if method not in ("mean", "product"):
         raise ValueError(f"unknown fusion method: {method!r}")
     shape = np.array([math.ceil(extent[0] / spacing), math.ceil(extent[1] / spacing)])
     xs = (np.arange(shape[0]) - shape[0] // 2) * spacing + center.x
     ys = (np.arange(shape[1]) - shape[1] // 2) * spacing + center.y
 
-    def sample(i):
+    def sample(i, img):
         """(box low corner, box high corner, normalized samples in the box)."""
-        img = images[i]
         peak = img.magnitude.max()
         norm = img.magnitude / peak if peak > 0 else img.magnitude
         mx, my = img.magnitude.shape
@@ -279,22 +296,32 @@ def fuse_images(
             )
         return lo, hi, sampled
 
-    # a mean is a product over groups of one image each
-    groups: dict[EllipseFootprint | int | None, list[int]] = {}
-    for i, img in enumerate(images):
-        groups.setdefault(img.footprint if method == "product" else i, []).append(i)
     fused = np.zeros(shape)
-    for group in groups.values():
-        lo, hi, product = sample(group[0])
-        for i in group[1:]:
-            img_lo, img_hi, sampled = sample(i)
-            new_lo = np.maximum(lo, img_lo)
-            new_hi = np.maximum(np.minimum(hi, img_hi), new_lo)
-            product = product[_box(new_lo - lo, new_hi - lo)]
-            product *= sampled[_box(new_lo - img_lo, new_hi - img_lo)]
-            lo, hi = new_lo, new_hi
+    # running (box low corner, box high corner, product) of each footprint group
+    groups: dict[EllipseFootprint | None, tuple] = {}
+    count = 0
+    # no enumerate: its reused result tuple would keep the last image
+    # alive while the iterable forms the next one
+    for img in images:
+        lo, hi, sampled = sample(count, img)
+        count += 1
+        if method == "mean":
+            fused[_box(lo, hi)] += sampled
+        elif img.footprint not in groups:
+            groups[img.footprint] = lo, hi, sampled
+        else:
+            group_lo, group_hi, product = groups[img.footprint]
+            new_lo = np.maximum(group_lo, lo)
+            new_hi = np.maximum(np.minimum(group_hi, hi), new_lo)
+            product = product[_box(new_lo - group_lo, new_hi - group_lo)]
+            product *= sampled[_box(new_lo - lo, new_hi - lo)]
+            groups[img.footprint] = new_lo, new_hi, product
+        del img, sampled
+    if count == 0:
+        raise EmptyInputError("at least one image is required")
+    for lo, hi, product in groups.values():
         fused[_box(lo, hi)] += product
-    fused /= len(groups)
+    fused /= count if method == "mean" else len(groups)
     peak = fused.max()
     if peak > 0:
         fused /= peak

@@ -4,6 +4,7 @@ import io
 import math
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -633,7 +634,7 @@ def test_reconstruct_intersect_writes_estimates(tmp_path):
     assert (out / "manifest.txt").exists()
 
 
-def test_reconstruct_unknown_3d_without_planes(tmp_path):
+def test_reconstruct_unknown_3d_without_planes(tmp_path, capsys):
     # a 3d config without its height planes is refused when it is built,
     # so reconstruct stops before the dataset is read or out is made
     data = tmp_path / "data"
@@ -648,19 +649,25 @@ def test_reconstruct_unknown_3d_without_planes(tmp_path):
         text.replace("reconstruction.algorithm = intersect", "reconstruction.algorithm = 3d")
     )
     rec = tmp_path / "rec"
-    with pytest.raises(ConfigError, match="reconstruction.height_plane_count"):
-        main(["reconstruct", "--config", str(cfg_path), "--dataset", str(data),
-              "--out", str(rec)])
+    rc = main(["reconstruct", "--config", str(cfg_path), "--dataset", str(data),
+               "--out", str(rec)])
+    # one line naming the error class and the config file, no traceback
+    err = capsys.readouterr().err
+    assert rc != 0 and err.count("\n") == 1
+    assert err.startswith(f"netsar: ConfigError: {cfg_path}: ")
+    assert re.search("reconstruction.height_plane_count", err)
     assert not rec.exists()
 
 
-def test_reconstruct_refuses_to_write_into_its_own_dataset(tmp_path, monkeypatch):
+def test_reconstruct_refuses_to_write_into_its_own_dataset(tmp_path, monkeypatch, capsys):
     # the dataset's config.txt says output_dir = out, the directory it is in
     monkeypatch.chdir(tmp_path)
     simulate_run(SMALL, Path("out"), seed=7)
     manifest = (tmp_path / "out" / "manifest.txt").read_bytes()
-    with pytest.raises(ConfigError, match="output directory out is the dataset"):
-        main(["reconstruct", "--dataset", "./out"])
+    assert main(["reconstruct", "--dataset", "./out"]) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("netsar: ConfigError: ")
+    assert re.search("output directory out is the dataset", err)
     with pytest.raises(ConfigError, match="is the dataset"):
         reconstruct_run(SMALL, tmp_path / "out", Path("out"), seed=7)
     assert (tmp_path / "out" / "manifest.txt").read_bytes() == manifest
@@ -844,11 +851,12 @@ def test_main_analyze_tradeoff(tmp_path, capsys):
     assert (out / "tradeoff.csv").exists()
 
 
-def test_main_analyze_tradeoff_rejects_an_empty_channel_file(tmp_path):
+def test_main_analyze_tradeoff_rejects_an_empty_channel_file(tmp_path, capsys):
     channel = tmp_path / "channel.csv"
     channel.write_bytes(b"")
-    with pytest.raises(InvalidDistributionError):
-        main(["analyze", "tradeoff", "--channel", str(channel), "--out", str(tmp_path / "ana")])
+    rc = main(["analyze", "tradeoff", "--channel", str(channel), "--out", str(tmp_path / "ana")])
+    assert rc != 0
+    assert capsys.readouterr().err.startswith(f"netsar: {InvalidDistributionError.__name__}: ")
 
 
 def test_main_analyze_slice_check(tmp_path, capsys):

@@ -83,6 +83,14 @@ def test_output_dir_top_level():
     assert "output_dir = results/run1" in serialize_config(cfg)
 
 
+def test_load_config_errors_name_the_file(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("scene.extent_m = 100.0\nreconstruction.pad_factor = 2\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: line 2: unknown key 'reconstruction.pad_factor'"
+
+
 def test_save_and_load(tmp_path):
     cfg = RunConfig(output_dir="elsewhere")
     path = tmp_path / "run.cfg"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -128,6 +129,15 @@ def test_procedure1_skips_only_rows_that_transform_to_zero():
     grid = bin_spectrum(patches, S, pixel_extent)
     assert 0 < np.count_nonzero(grid.any(axis=1)) < 2 * S
     expected = np.abs(np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(grid))))
+    image = procedure1_invert(patches, S, pixel_extent)
+    assert image.magnitude.tobytes() == expected.tobytes()
+
+
+def test_procedure1_shifts_odd_quadrants_as_fftshift_does():
+    # an odd S gives odd quadrants to the in-place shifts
+    patches, S, pixel_extent = _low_carrier_group(), 257, 400.0 * 257 / 512
+    grid = bin_spectrum(patches, S, pixel_extent)
+    expected = np.fft.fftshift(np.abs(np.fft.fft2(np.fft.ifftshift(grid))))
     image = procedure1_invert(patches, S, pixel_extent)
     assert image.magnitude.tobytes() == expected.tobytes()
 
@@ -422,6 +432,62 @@ def test_fuse_product_multiplies_within_a_footprint_group_and_averages_across(me
     # the two beams share no ground, and each still shows
     west, east = np.split(fused.magnitude, 2)
     assert west.any() and east.any()
+
+
+def _interleaved_groups(seed):
+    """Five images whose first footprint group (images 0, 2, 4) is not consecutive."""
+    rng = np.random.default_rng(seed)
+    near, far = _footprint(-4.0, 1.0, 3.0, 0.5, 0.3), _footprint(5.0, -2.0, 2.5, 0.4, 1.1)
+    return [
+        ReconstructedImage(
+            magnitude=rng.random((60, 60)),
+            pixel_spacing=(0.2, 0.2),
+            origin=GroundPoint(x, y),
+            footprint=f,
+        )
+        for x, y, f in (
+            (-4.0, 1.0, near), (5.0, -2.0, far), (-3.5, 0.5, near),
+            (4.6, -2.2, far), (-4.2, 1.3, near),
+        )
+    ]
+
+
+@pytest.mark.parametrize("method", ["mean", "product"])
+def test_fuse_images_of_a_generator_equals_fuse_images_of_a_list(method):
+    images = _interleaved_groups(17)
+    extent, spacing, center = (20.0, 18.0), 0.1, GroundPoint(0.5, -0.25)
+    listed = fuse_images(images, extent, spacing, center=center, method=method)
+    streamed = fuse_images((img for img in images), extent, spacing, center=center,
+                           method=method)
+    assert listed.magnitude.any()
+    assert streamed.magnitude.tobytes() == listed.magnitude.tobytes()
+    assert np.abs(listed.magnitude -
+                  _fuse_full_grid(images, extent, spacing, center, method, crop=True)
+                  ).max() <= 1e-12
+    with pytest.raises(EmptyInputError):
+        fuse_images(iter([]), extent, spacing, method=method)
+
+
+@pytest.mark.parametrize("method", ["mean", "product"])
+def test_fuse_images_releases_each_image_before_the_next_is_formed(method):
+    template = _interleaved_groups(19)
+    alive = []
+
+    def formed():
+        for img in template:
+            # every image yielded so far is already freed
+            assert not [i for i, ref in enumerate(alive) if ref() is not None]
+            fresh = dataclasses.replace(img, magnitude=img.magnitude.copy())
+            alive.append(weakref.ref(fresh))
+            yield fresh
+            del fresh
+
+    extent, spacing, center = (20.0, 18.0), 0.1, GroundPoint(0.5, -0.25)
+    fused = fuse_images(formed(), extent, spacing, center=center, method=method)
+    assert len(alive) == len(template)
+    assert fused.magnitude.tobytes() == fuse_images(
+        template, extent, spacing, center=center, method=method
+    ).magnitude.tobytes()
 
 
 def test_fuse_warns_when_a_footprint_lies_off_the_grid():

@@ -55,5 +55,5 @@ def test_write_pgm_holds_no_full_size_float_copy(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the 2.6 MB uint8 image and a few row blocks of floats, not 40 MB
+    # the 2.6 MB uint8 image and two row blocks of floats, not a 20 MB float copy
     assert peak < 5e6

@@ -9,6 +9,7 @@ the forward model stays independent of the reconstruction chain.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -118,7 +119,7 @@ def illuminated_pixels(
     return np.stack([xs[gx], ys[gy], heights], axis=1), values
 
 
-# antennas whose phases one np.exp call forms
+# antennas whose phase tables one pass of ``_sum_blocks`` forms
 _BLOCK = 8
 # worker threads of the synthesis, built on the first lit patch; a forked
 # child has none of them and builds its own
@@ -133,13 +134,23 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _sum_blocks(samples, starts, lock, pix, values, d_tx, rx_pos, k) -> None:
+def _sum_blocks(samples, starts, lock, pix, values, d_tx, rx_pos, k_runs) -> None:
     """Fill ``samples`` for each antenna block taken from ``starts`` until none is left.
+
+    ``k_runs`` holds the wavenumbers in runs of B = isqrt(M), the last run
+    padded; the padded columns are trimmed. The phase theta = k_m * t,
+    t = d_tx + d_rx, is rounded exactly as the direct sum rounds it, then
+    split as q + u + delta: q is theta at its run's first subcarrier,
+    r = theta - q is exact (Sterbenz: both lie within a factor of 2), u is
+    r of the first run and delta = r - u (about 1e-10) is exact too. So
+    exp(-i theta) = exp(-i q) exp(-i u) (1 - i delta) up to delta**2 / 2,
+    and each (antenna, pixel) takes 2B exponentials in place of M.
 
     Worker threads run this, so it calls numpy only: no BLAS, whose own
     thread would spin on the core another participant needs, and no
     netsar function, which the bench tracer (not thread-safe) may wrap.
     """
+    m = samples.shape[1]
     while True:
         with lock:
             start = next(starts, None)
@@ -148,10 +159,16 @@ def _sum_blocks(samples, starts, lock, pix, values, d_tx, rx_pos, k) -> None:
         rows = slice(start, start + _BLOCK)
         d_rx = np.linalg.norm(pix[None, :, :] - rx_pos[rows, None, :], axis=2)
         amp = values / (d_tx * d_rx)
-        total = d_tx + d_rx
-        phases = np.exp(-1j * (k[None, :, None] * total[:, None, :]))
+        theta = (d_tx + d_rx)[:, :, None, None] * k_runs  # (l, p, run, s)
+        r = theta - theta[:, :, :, :1]
+        delta = r - r[:, :, :1]
+        w = amp[:, :, None] * np.exp(-1j * theta[:, :, :, 0])
+        eu = np.exp(-1j * r[:, :, 0])
         # fixed pixel summation order for bit reproducibility
-        samples[rows] = np.einsum("lmp,lp->lm", phases, amp)
+        sums = np.einsum("lpj,lps->ljs", w, eu) - 1j * np.einsum(
+            "lpj,lps,lpjs->ljs", w, eu, delta
+        )
+        samples[rows] = sums.reshape(len(amp), -1)[:, :m]
 
 
 def _antenna_sums(samples, pix, values, tx_pos, rx_pos, k, participants=None) -> None:
@@ -164,7 +181,10 @@ def _antenna_sums(samples, pix, values, tx_pos, rx_pos, k, participants=None) ->
     """
     global _pool
     if participants is None:
-        participants = len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity"):
+            participants = len(os.sched_getaffinity(0))
+        else:
+            participants = os.cpu_count() or 1
     blocks = range(0, len(rx_pos), _BLOCK)
     helpers = min(participants, len(blocks)) - 1
     if helpers > 0 and _pool is None:
@@ -172,7 +192,9 @@ def _antenna_sums(samples, pix, values, tx_pos, rx_pos, k, participants=None) ->
 
         _pool = ThreadPoolExecutor(max_workers=helpers)
     d_tx = np.linalg.norm(pix - tx_pos[None, :], axis=1)
-    args = (samples, iter(blocks), threading.Lock(), pix, values, d_tx, rx_pos, k)
+    run = math.isqrt(k.size)
+    k_runs = np.pad(k, (0, -k.size % run), mode="edge").reshape(-1, run)
+    args = (samples, iter(blocks), threading.Lock(), pix, values, d_tx, rx_pos, k_runs)
     futures = [_pool.submit(_sum_blocks, *args) for _ in range(helpers)]
     _sum_blocks(*args)
     for future in futures:

@@ -176,33 +176,84 @@ def test_patch_derives_geometry_from_its_stations():
         MeasurementPatch(samples[:1], tx, opposite, WF, GroundPoint(0.0, 0.0))
 
 
+def _random_scene(seed, count):
+    rng = np.random.default_rng(seed)
+    return _sparse_scene(
+        [
+            ((float(x), float(y)), complex(a, b))
+            for (x, y), (a, b) in zip(
+                rng.uniform(-15, 15, size=(count, 2)), rng.normal(size=(count, 2))
+            )
+        ]
+    )
+
+
+def _direct_sum(pix, values, tx, rx, wf):
+    """Each antenna's exp(-1j*k*(d_tx + d_rx)) sum, one np.exp per sample."""
+    k = wf.wavenumbers()
+    d_tx = np.linalg.norm(pix - tx.position.as_array()[None, :], axis=1)
+    expected = np.zeros((rx.antenna_count, k.size), dtype=complex)
+    for l, position in enumerate(rx.antenna_positions()):
+        d_rx = np.linalg.norm(pix - position[None, :], axis=1)
+        expected[l] = np.exp(-1j * np.outer(k, d_tx + d_rx)) @ (values / (d_tx * d_rx))
+    return expected
+
+
+@pytest.mark.parametrize(
+    "wf, bound",
+    [(dataclasses.replace(WF, subcarrier_count=m), 1e-14) for m in (1, 7, 37, 300)]
+    # 2 to 110 MHz: a run spans more than an octave, so theta - q is rounded
+    + [(WaveformSpec(carrier_frequency=2e6, subcarrier_count=37, subcarrier_spacing=3e6), 1e-12)],
+    ids=["M1", "M7", "M37", "M300", "octaves"],
+)
+def test_split_phase_synthesis_matches_the_direct_sum(wf, bound):
+    # subcarrier counts that are not a whole number of isqrt(M) runs
+    scene = _random_scene(4, 9)
+    tx, rx = _stations()
+    patch = synthesize_measurement(
+        scene, tx, BEAM, rx, wf, region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT
+    )
+    expected = _direct_sum(*illuminated_pixels(scene, FOOTPRINT), tx, rx, wf)
+    scale = np.abs(expected).max()
+    assert np.abs(patch.samples - expected).max() / scale < bound
+
+
 def test_synthesis_does_not_depend_on_participants_or_block_size(monkeypatch):
-    # 20 antennas: two full blocks of 8 and a short one of 4
-    rng = np.random.default_rng(3)
-    pts = [
-        ((float(x), float(y)), complex(a, b))
-        for (x, y), (a, b) in zip(
-            rng.uniform(-15, 15, size=(9, 2)), rng.normal(size=(9, 2))
-        )
-    ]
-    scene = _sparse_scene(pts)
+    # 20 antennas: two full blocks of 8 and a short one of 4; 37 subcarriers
+    # leave the last run of isqrt(37) = 6 padded
+    scene = _random_scene(3, 9)
     tx, rx = _stations()
     rx = dataclasses.replace(rx, antenna_count=20)
-    patch = synthesize_measurement(
-        scene, tx, BEAM, rx, WF, region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT
-    )
-    assert np.any(patch.samples)
     pix, values = illuminated_pixels(scene, FOOTPRINT)
-    args = (pix, values, tx.position.as_array(), rx.antenna_positions(), WF.wavenumbers())
-    for participants in (1, 2, 3):
+    block = forward._BLOCK
+    for wf in (WF, dataclasses.replace(WF, subcarrier_count=37)):
+        monkeypatch.setattr(forward, "_BLOCK", block)
+        patch = synthesize_measurement(
+            scene, tx, BEAM, rx, wf, region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT
+        )
+        assert np.any(patch.samples)
+        args = (pix, values, tx.position.as_array(), rx.antenna_positions(), wf.wavenumbers())
+        for participants in (1, 2, 3):
+            samples = np.zeros_like(patch.samples)
+            forward._antenna_sums(samples, *args, participants=participants)
+            assert samples.tobytes() == patch.samples.tobytes(), (wf, participants)
+        # one antenna per block gives the same bits as a block of eight
+        monkeypatch.setattr(forward, "_BLOCK", 1)
         samples = np.zeros_like(patch.samples)
-        forward._antenna_sums(samples, *args, participants=participants)
-        assert samples.tobytes() == patch.samples.tobytes(), participants
-    # one antenna per np.exp call gives the same bits as a block of eight
-    monkeypatch.setattr(forward, "_BLOCK", 1)
-    samples = np.zeros_like(patch.samples)
-    forward._antenna_sums(samples, *args, participants=1)
-    assert samples.tobytes() == patch.samples.tobytes()
+        forward._antenna_sums(samples, *args, participants=1)
+        assert samples.tobytes() == patch.samples.tobytes(), wf
+
+
+def test_synthesis_without_cpu_affinity_gives_the_same_bytes(monkeypatch):
+    # os.sched_getaffinity is Linux-only; elsewhere the CPU count is used
+    scene = _random_scene(3, 9)
+    tx, rx = _stations()
+    rx = dataclasses.replace(rx, antenna_count=20)
+    kwargs = dict(region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT)
+    before = synthesize_measurement(scene, tx, BEAM, rx, WF, **kwargs)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    after = synthesize_measurement(scene, tx, BEAM, rx, WF, **kwargs)
+    assert after.samples.tobytes() == before.samples.tobytes()
 
 
 def test_synthesis_matches_a_serial_matrix_vector_loop_on_the_survey_geometry():
@@ -224,13 +275,7 @@ def test_synthesis_matches_a_serial_matrix_vector_loop_on_the_survey_geometry():
         pix, values = illuminated_pixels(scene, footprint)
         assert values.size > 0
         # one antenna at a time, contracted by a matrix-vector product
-        k = wf.wavenumbers()
-        d_tx = np.linalg.norm(pix - tx.position.as_array()[None, :], axis=1)
-        expected = np.zeros_like(patch.samples)
-        for l, position in enumerate(rx.antenna_positions()):
-            d_rx = np.linalg.norm(pix - position[None, :], axis=1)
-            amp = values / (d_tx * d_rx)
-            expected[l] = np.exp(-1j * np.outer(k, d_tx + d_rx)) @ amp
+        expected = _direct_sum(pix, values, tx, rx, wf)
         scale = np.abs(expected).max()
         assert np.abs(patch.samples - expected).max() / scale < 1e-14
 

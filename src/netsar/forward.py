@@ -141,10 +141,11 @@ def _sum_blocks(samples, starts, lock, pix, values, d_tx, rx_pos, k_runs) -> Non
     padded; the padded columns are trimmed. The phase theta = k_m * t,
     t = d_tx + d_rx, is rounded exactly as the direct sum rounds it, then
     split as q + u + delta: q is theta at its run's first subcarrier,
-    r = theta - q is exact (Sterbenz: both lie within a factor of 2), u is
-    r of the first run and delta = r - u (about 1e-10) is exact too. So
-    exp(-i theta) = exp(-i q) exp(-i u) (1 - i delta) up to delta**2 / 2,
-    and each (antenna, pixel) takes 2B exponentials in place of M.
+    r = theta - q is exact while a run spans less than an octave
+    (Sterbenz), u is r of the first run and delta = r - u (about 1e-10)
+    is exact too. So exp(-i theta) = exp(-i q) exp(-i u) (1 - i delta) up
+    to delta**2 / 2, and each (antenna, pixel) takes 2B exponentials in
+    place of M.
 
     Worker threads run this, so it calls numpy only: no BLAS, whose own
     thread would spin on the core another participant needs, and no

@@ -145,11 +145,15 @@ def _sum_blocks(samples, starts, lock, pix, values, d_tx, rx_pos, k_runs) -> Non
     (Sterbenz), u is r of the first run and delta = r - u (about 1e-10)
     is exact too. So exp(-i theta) = exp(-i q) exp(-i u) (1 - i delta) up
     to delta**2 / 2, and each (antenna, pixel) takes 2B exponentials in
-    place of M.
+    place of M. Batched ``matmul`` sums over the pixels: each antenna is
+    its own batch element of the same shape, so the bits depend on neither
+    the participant count, ``_BLOCK`` nor the BLAS thread count. These
+    small products stay below OpenBLAS's threading threshold, so no BLAS
+    thread spins on the core another participant needs. Their last bits
+    may depend on the kernel OpenBLAS picks for the CPU.
 
-    Worker threads run this, so it calls numpy only: no BLAS, whose own
-    thread would spin on the core another participant needs, and no
-    netsar function, which the bench tracer (not thread-safe) may wrap.
+    Worker threads run this, so it calls no netsar function, which the
+    bench tracer (not thread-safe) may wrap.
     """
     m = samples.shape[1]
     while True:
@@ -161,14 +165,17 @@ def _sum_blocks(samples, starts, lock, pix, values, d_tx, rx_pos, k_runs) -> Non
         d_rx = np.linalg.norm(pix[None, :, :] - rx_pos[rows, None, :], axis=2)
         amp = values / (d_tx * d_rx)
         theta = (d_tx + d_rx)[:, :, None, None] * k_runs  # (l, p, run, s)
-        r = theta - theta[:, :, :, :1]
-        delta = r - r[:, :, :1]
-        w = amp[:, :, None] * np.exp(-1j * theta[:, :, :, 0])
-        eu = np.exp(-1j * r[:, :, 0])
-        # fixed pixel summation order for bit reproducibility
-        sums = np.einsum("lpj,lps->ljs", w, eu) - 1j * np.einsum(
-            "lpj,lps,lpjs->ljs", w, eu, delta
-        )
+        # q and u are copied out before theta becomes r, then delta, in
+        # place: an operand that overlaps its output makes numpy copy slowly
+        q = theta[:, :, :, :1].copy()
+        w = (amp[:, :, None] * np.exp(-1j * q[:, :, :, 0])).transpose(0, 2, 1)
+        theta -= q
+        u = theta[:, :, :1].copy()
+        eu = np.exp(-1j * u[:, :, 0])
+        theta -= u
+        # one zgemm per antenna, one vector-matrix product per (antenna, run)
+        corr = w[:, :, None, :] @ (theta * eu[:, :, None, :]).transpose(0, 2, 1, 3)
+        sums = w @ eu - 1j * corr[:, :, 0]
         samples[rows] = sums.reshape(len(amp), -1)[:, :m]
 
 

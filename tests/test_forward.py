@@ -244,6 +244,26 @@ def test_synthesis_does_not_depend_on_participants_or_block_size(monkeypatch):
         assert samples.tobytes() == patch.samples.tobytes(), wf
 
 
+def test_synthesis_at_the_largest_crowded_block(monkeypatch):
+    # crowded lights up to 56 pixels per patch, on 64 antennas and 256 subcarriers
+    scene = _random_scene(5, 64)
+    tx, rx = _stations()
+    rx = dataclasses.replace(rx, antenna_count=64)
+    wf = dataclasses.replace(WF, subcarrier_count=256)
+    pix, values = illuminated_pixels(scene, FOOTPRINT)
+    assert values.size >= 56
+    expected = _direct_sum(pix, values, tx, rx, wf)
+    args = (pix, values, tx.position.as_array(), rx.antenna_positions(), wf.wavenumbers())
+    runs = {}
+    for block in (8, 1):
+        monkeypatch.setattr(forward, "_BLOCK", block)
+        runs[block] = np.zeros_like(expected)
+        forward._antenna_sums(runs[block], *args)
+    scale = np.abs(expected).max()
+    assert np.abs(runs[8] - expected).max() / scale < 1e-14
+    assert runs[1].tobytes() == runs[8].tobytes()
+
+
 def test_synthesis_without_cpu_affinity_gives_the_same_bytes(monkeypatch):
     # os.sched_getaffinity is Linux-only; elsewhere the CPU count is used
     scene = _random_scene(3, 9)

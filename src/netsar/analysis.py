@@ -19,11 +19,11 @@ from .forward import WaveformSpec
 
 
 def projection_slice_check(
-    image: np.ndarray, angle: float, pad_factor: int = 8
+    image: np.ndarray, angle: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Compare a central spectrum slice against the projection transform.
 
-    The slice side interpolates the zero-padded 2-D DFT of the image
+    The slice side interpolates the 8x zero-padded 2-D DFT of the image
     along the line through the origin at ``angle``; the projection side
     evaluates the exact nonuniform DFT of the image at the same spatial
     frequencies (the transform of the line-integral projection). Returns
@@ -39,7 +39,7 @@ def projection_slice_check(
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise ValueError("image must be a square 2-D grid")
     P = image.shape[0]
-    Q = pad_factor * P
+    Q = 8 * P
 
     spectrum = np.fft.fft2(image, s=(Q, Q))
     freqs = np.fft.fftfreq(P)  # cycles per pixel along the slice
@@ -145,13 +145,12 @@ def sidelobe_statistics(
     x_grid: np.ndarray,
     trials: int,
     seed: int,
-    span: float = 2 * np.pi,
 ) -> dict:
     """Monte Carlo statistics of s(x) = sum_n exp(-j x X_n).
 
-    X_n are i.i.d. uniform over [0, span); the characteristic function
-    then vanishes exactly at every nonzero multiple of 2 pi / span, so
-    pass an ``x_grid`` of such multiples for the zero-mean regime.
+    X_n are i.i.d. uniform over [0, 2 pi); the characteristic function
+    then vanishes exactly at every nonzero integer, so pass an integer
+    ``x_grid`` for the zero-mean regime.
     Returns empirical mean, Var[s]/N, lag-1 autocorrelation along the
     grid, and the s(0) = N check.
     """
@@ -162,7 +161,7 @@ def sidelobe_statistics(
     autocorr = np.zeros(max(x_grid.size - 1, 0), dtype=complex)
     s0_ok = True
     for _ in range(trials):
-        X = rng.uniform(0.0, span, size=N)
+        X = rng.uniform(0.0, 2 * np.pi, size=N)
         s = np.exp(-1j * np.outer(x_grid, X)).sum(axis=1)
         means += s
         second += np.abs(s) ** 2
@@ -229,7 +228,8 @@ def loglog_slope(n_values: np.ndarray, mse_values: np.ndarray) -> float:
     return float(np.polyfit(np.log(n_values), np.log(mse_values), 1)[0])
 
 
-def statistics_to_csv(rows, path, header=("N", "trial", "mse")) -> None:
+def statistics_to_csv(rows, path) -> None:
+    """``mse_monte_carlo`` rows as an N, trial, mse table."""
     from .imageio import write_table
 
-    write_table(path, list(header), [[r[0], r[1], float(r[2])] for r in rows])
+    write_table(path, ["N", "trial", "mse"], [[r[0], r[1], float(r[2])] for r in rows])

@@ -46,7 +46,7 @@ from .forward import (
 from .geometry import BaseStation, BeamSpec, GroundPoint, beam_footprint
 from .imageio import read_table, write_pgm, write_table
 from .isar import VoxelGrid, solve_voxel_grid, voxel_grid_slices_to_pgm, voxel_grid_to_csv
-from .patches import align_and_place, align_distance, wavenumber_vectors
+from .patches import align_and_place, wavenumber_vectors
 from .reconstruct import (
     estimate_height,
     fuse_images,
@@ -300,8 +300,9 @@ def load_dataset(cfg: RunConfig, dataset: Path):
     are a view of its row, made of the very bytes the manifest's checksum
     was compared against. Alignment widens each patch to complex128 as it
     multiplies it by its correction. Raises CorruptDatasetError
-    when samples.npy cannot be read, is not a complex array (rejected
-    from its header, so nothing is unpickled) or does not hold one finite
+    when samples.npy cannot be read, is not in the .npy 1.0 C-order
+    layout simulate_run writes, is not a complex array (rejected from
+    its header, so nothing is unpickled) or does not hold one finite
     (antenna, subcarrier) grid per patches.csv row, when patches.csv
     lacks a column, and when one of its rows is malformed: the channel
     is not a configured channel, a station is not in the configured
@@ -371,27 +372,30 @@ def _read_samples(path: Path, shape: tuple[int, int, int]) -> tuple[np.ndarray, 
 
     Streams the file once. Its header is parsed first, so a file of the
     wrong shape or of a non-complex dtype (an object array included) is
-    rejected before any sample is read or memory is allocated for it.
+    rejected before any sample is read or memory is allocated for it, as
+    is any layout but the .npy 1.0 C-order one ``_save_npy`` writes.
     Then each row of the file is read straight into one preallocated
     array of the stored dtype, hashed and checked for finiteness, so the
     array returned holds exactly the bytes that were hashed.
     """
-    readers = {
-        (1, 0): np.lib.format.read_array_header_1_0,
-        (2, 0): np.lib.format.read_array_header_2_0,
-    }
+    where = f"{path.name} in {path.parent}"
     with open(path, "rb") as fh:
         try:
             version = np.lib.format.read_magic(fh)
-            if version not in readers:
-                raise ValueError(f"unsupported .npy format version {version}")
-            stored, fortran_order, dtype = readers[version](fh)
+            if version != (1, 0):
+                raise CorruptDatasetError(
+                    f"{where} is a .npy {version[0]}.{version[1]} file, "
+                    "not the .npy 1.0 C-order layout netsar writes"
+                )
+            stored, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
         except ValueError as exc:  # a truncated or garbled header
-            raise CorruptDatasetError(f"{path.name} in {path.parent}: {exc}") from None
-        if not np.issubdtype(dtype, np.complexfloating):
+            raise CorruptDatasetError(f"{where}: {exc}") from None
+        if fortran_order:
             raise CorruptDatasetError(
-                f"{path.name} in {path.parent} holds {dtype} values, not complex samples"
+                f"{where} is Fortran-ordered, not the .npy 1.0 C-order layout netsar writes"
             )
+        if not np.issubdtype(dtype, np.complexfloating):
+            raise CorruptDatasetError(f"{where} holds {dtype} values, not complex samples")
         if stored != shape:
             raise CorruptDatasetError(
                 f"{path.name} has shape {stored}; patches.csv and the config call for {shape}"
@@ -399,22 +403,19 @@ def _read_samples(path: Path, shape: tuple[int, int, int]) -> tuple[np.ndarray, 
         data_start = fh.tell()
         fh.seek(0)
         digest = hashlib.sha256(fh.read(data_start))
-        # a Fortran-ordered file stores the rows of the transpose in turn
-        stored_rows = np.empty(shape[::-1] if fortran_order else shape, dtype)
+        samples = np.empty(shape, dtype)
         # the parts' float dtype: np.isfinite runs about twice as fast on it
         part = np.empty(0, dtype).real.dtype
-        for raw in stored_rows.reshape(len(stored_rows), -1).view(np.uint8):
+        for raw in samples.reshape(len(samples), -1).view(np.uint8):
             if fh.readinto(raw) != raw.size:
-                raise CorruptDatasetError(f"{path.name} in {path.parent} is truncated")
+                raise CorruptDatasetError(f"{where} is truncated")
             digest.update(raw)
             if not np.isfinite(raw.view(part)).all():
-                raise CorruptDatasetError(
-                    f"{path.name} in {path.parent} holds non-finite samples"
-                )
+                raise CorruptDatasetError(f"{where} holds non-finite samples")
         # bytes past the last sample belong to the file's checksum too
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
-    return (stored_rows.T if fortran_order else stored_rows), digest.hexdigest()
+    return samples, digest.hexdigest()
 
 
 def _manifest_checksums(path: Path) -> dict[str, str]:
@@ -589,7 +590,7 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
     elif algorithm == "isar":
         group = _largest_beam_group(raw)
         kvecs = np.concatenate([wavenumber_vectors(p).reshape(-1, 3) for p in group])
-        values = np.concatenate([align_distance(p).samples.reshape(-1) for p in group])
+        values = np.concatenate([align_and_place(p).samples.reshape(-1) for p in group])
         stride = max(1, kvecs.shape[0] // 1500)
         # copies, so the full arrays are freed before the solve
         kvecs, values = kvecs[::stride].copy(), values[::stride].copy()
@@ -599,7 +600,7 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
             # aligned samples carry exp(+j k . p): negate k for the e^{-j} model
             voxels, rank = solve_voxel_grid(-kvecs, values, grid)
         voxel_grid_to_csv(voxels, out / "voxels.csv")
-        voxel_grid_slices_to_pgm(voxels, out, stem="voxels")
+        voxel_grid_slices_to_pgm(voxels, out)
         # the solve's last bits depend on how BLAS splits it across threads
         blas_threads = (
             os.environ.get("OPENBLAS_NUM_THREADS")

@@ -151,9 +151,13 @@ def _coerce(raw: str, target_type, name: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse flat ``section.key = value`` text into a validated RunConfig."""
+    """Parse flat ``section.key = value`` text into a validated RunConfig.
+
+    A key set on two lines is refused, naming both.
+    """
     values: dict[str, dict[str, object]] = {k: {} for k in _SECTIONS}
     top: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -161,6 +165,11 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: key {key!r} is already set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
         if key == "output_dir":
             top["output_dir"] = raw
             continue
@@ -197,6 +206,8 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:

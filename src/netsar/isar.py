@@ -75,10 +75,8 @@ class VoxelGrid:
         return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) * self.spacing
 
 
-def build_sensing_tensor(
-    samples: list[WavenumberSample], grid: VoxelGrid, amplitude: complex = 1.0
-) -> np.ndarray:
-    """Dense K x M^3 forward map: row s is A * exp(-j k_s . r_voxel).
+def build_sensing_tensor(samples: list[WavenumberSample], grid: VoxelGrid) -> np.ndarray:
+    """Dense K x M^3 forward map: row s is exp(-j k_s . r_voxel).
 
     Applying the map to a flattened voxel field reproduces the forward
     sum over voxels for every sample.
@@ -89,19 +87,16 @@ def build_sensing_tensor(
     pos = grid.voxel_positions()  # (M^3, 3)
     # the parentheses keep the phase a real GEMM: on the complex GEMM of
     # (-1j * K) @ P.T, np.exp ran 8-10x slower on the same values
-    return amplitude * np.exp(-1j * (kvecs @ pos.T))
+    return np.exp(-1j * (kvecs @ pos.T))
 
 
 def invert_sensing_tensor(
-    tensor: np.ndarray,
-    measurements: np.ndarray,
-    grid: VoxelGrid,
-    svd_tolerance: float = 1e-10,
+    tensor: np.ndarray, measurements: np.ndarray, grid: VoxelGrid
 ) -> tuple[VoxelGrid, int]:
     """Minimum-norm voxel recovery by one ``gelsd`` least-squares solve.
 
     ``np.linalg.lstsq`` (LAPACK ``gelsd``) treats singular values at
-    most svd_tolerance * sigma_max as zero, the truncation rule of
+    most _SVD_TOLERANCE * sigma_max as zero, the truncation rule of
     ``pseudo_inverse``, and returns the minimum-norm solution
     ``pseudo_inverse(tensor) @ measurements`` without forming U or the
     pseudo-inverse. On a full-column-rank noise-free instance the
@@ -116,7 +111,7 @@ def invert_sensing_tensor(
             f"tensor shape {tensor.shape} inconsistent with "
             f"{measurements.shape[0]} measurements and {n_vox} voxels"
         )
-    rho, _, rank, _ = np.linalg.lstsq(tensor, measurements, rcond=svd_tolerance)
+    rho, _, rank, _ = np.linalg.lstsq(tensor, measurements, rcond=_SVD_TOLERANCE)
     return _solved(grid, rho, rank)
 
 
@@ -169,13 +164,13 @@ def solve_voxel_grid(k_vectors, measurements, grid: VoxelGrid) -> tuple[VoxelGri
     return _solved(grid, rho, rank)
 
 
-def pseudo_inverse(tensor: np.ndarray, svd_tolerance: float = 1e-10) -> np.ndarray:
+def pseudo_inverse(tensor: np.ndarray) -> np.ndarray:
     """Truncated-SVD Moore-Penrose pseudo-inverse of the sensing map.
 
-    One SVD; singular values at most svd_tolerance * sigma_max are dropped.
+    One SVD; singular values at most _SVD_TOLERANCE * sigma_max are dropped.
     """
     u, s, vh = np.linalg.svd(tensor, full_matrices=False)
-    rank = int(np.sum(s > svd_tolerance * s[0])) if s.size else 0
+    rank = int(np.sum(s > _SVD_TOLERANCE * s[0])) if s.size else 0
     return (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T
 
 
@@ -188,8 +183,8 @@ def voxel_grid_to_csv(grid: VoxelGrid, path) -> None:
     write_table(path, ["l", "m", "n", "re", "im"], zip(*(c.tolist() for c in columns)))
 
 
-def voxel_grid_slices_to_pgm(grid: VoxelGrid, directory, stem: str = "slice") -> list:
-    """Per-z-slice magnitude images, one PGM per n index; returns the paths."""
+def voxel_grid_slices_to_pgm(grid: VoxelGrid, directory) -> list:
+    """Per-z-slice magnitude images voxels_<n>.pgm, one per n index; returns the paths."""
     from pathlib import Path
 
     if grid.values is None:
@@ -197,7 +192,7 @@ def voxel_grid_slices_to_pgm(grid: VoxelGrid, directory, stem: str = "slice") ->
     directory = Path(directory)
     paths = []
     for n in range(grid.M_side):
-        p = directory / f"{stem}_{n:03d}.pgm"
+        p = directory / f"voxels_{n:03d}.pgm"
         write_pgm(np.abs(grid.values[:, :, n]), p)
         paths.append(p)
     return paths

@@ -27,16 +27,12 @@ def align_distance(patch: MeasurementPatch) -> MeasurementPatch:
     the composite station-to-center distance, removing the bulk phase at
     each subcarrier's wavenumber.
     """
-    return replace(patch, samples=patch.samples * _distance_correction(patch)[None, :])
-
-
-def _distance_correction(patch: MeasurementPatch) -> np.ndarray:
-    """``align_distance``'s factor of each subcarrier, (M,)."""
     center = patch.region_center.as_array()
     d_tx = np.linalg.norm(patch.tx.position.as_array() - center)
     d_rx = np.linalg.norm(patch.rx.position.as_array() - center)
     k = patch.waveform.wavenumbers()
-    return (d_tx * d_rx) * np.exp(1j * k * (d_tx + d_rx))
+    correction = (d_tx * d_rx) * np.exp(1j * k * (d_tx + d_rx))
+    return replace(patch, samples=patch.samples * correction[None, :])
 
 
 def misalignment_angle(patch: MeasurementPatch) -> float:
@@ -51,24 +47,15 @@ def misalignment_angle(patch: MeasurementPatch) -> float:
     return math.pi / 2 - los + patch.rx.array_orientation
 
 
-def align_orientation(patch: MeasurementPatch) -> MeasurementPatch:
-    """Remove the linear phase ramp across antennas.
+def _orientation_ramp(patch: MeasurementPatch) -> np.ndarray | None:
+    """The orientation ramp exp(j a_l k_m), (N_a, M); None when psi = 0.
 
     An array rotated by psi away from broadside to the look direction
-    imprints phase -k_m * o_l * sin(psi) on antenna offset o_l; this
-    multiplies by the conjugate ramp. Exact identity when psi = 0.
-    """
-    ramp = _orientation_ramp(patch)
-    return patch if ramp is None else replace(patch, samples=patch.samples * ramp)
-
-
-def _orientation_ramp(patch: MeasurementPatch) -> np.ndarray | None:
-    """``align_orientation``'s ramp exp(j a_l k_m), (N_a, M); None when psi = 0.
-
-    With a_l = o_l sin(psi) and m = b*B + r, B = isqrt(M), the ramp is the
-    product of the phasors exp(j a_l k_{bB}) and exp(j a_l (k_r - k_0)):
-    N_a * (B + ceil(M / B)), about 2 N_a sqrt(M), exponentials in place of
-    N_a * M. The last coarse block is trimmed to M.
+    imprints phase -k_m * o_l * sin(psi) on antenna offset o_l; the ramp
+    is its conjugate, with a_l = o_l sin(psi). With m = b*B + r,
+    B = isqrt(M), it is the product of the phasors exp(j a_l k_{bB}) and
+    exp(j a_l (k_r - k_0)): N_a * (B + ceil(M / B)), about 2 N_a sqrt(M),
+    exponentials in place of N_a * M. The last coarse block is trimmed to M.
     """
     s = math.sin(misalignment_angle(patch))
     if s == 0.0:
@@ -99,16 +86,16 @@ def wavenumber_vectors(patch: MeasurementPatch) -> np.ndarray:
 
 
 def align_and_place(patch: MeasurementPatch) -> MeasurementPatch:
-    """Full conditioning chain: distance, then orientation alignment.
+    """Full conditioning chain: ``align_distance``, then the orientation ramp.
 
     Sample (l, m) of the result sits in the ground-plane spectrum at
     ``wavenumber_vectors(patch)[l, m, :2]``. The radial spacing between
     adjacent subcarriers is therefore 2*pi*delta_f/c times the bistatic
-    scale factor |u_tx + u_rx|. Both corrections are applied to one copy
-    of the samples, and the patch is rebuilt once.
+    scale factor |u_tx + u_rx|. The ramp multiplies the distance-aligned
+    copy in place, so the samples are copied once.
     """
-    samples = patch.samples * _distance_correction(patch)[None, :]
+    aligned = align_distance(patch)
     ramp = _orientation_ramp(patch)
     if ramp is not None:
-        samples *= ramp
-    return replace(patch, samples=samples)
+        aligned.samples[...] *= ramp
+    return aligned

@@ -455,8 +455,9 @@ def intersect_lines(
     cluster_radius: float,
     min_support: int = 2,
     min_crossing_sine: float = 1e-3,
-    max_offset: float | None = None,
-    pair_max_separation: float | None = None,
+    *,
+    max_offset: float,
+    pair_max_separation: float,
 ) -> tuple[list[ReflectorEstimate], IntersectDiagnostics]:
     """Locate reflectors by intersecting equal-range lines across patches.
 
@@ -489,9 +490,8 @@ def intersect_lines(
 
     # patch pairs i < j in loop order; separation first, then parallel pairs
     a, b = np.triu_indices(len(live), 1)
-    if pair_max_separation is not None:
-        far = np.hypot(*(center[a] - center[b]).T) > pair_max_separation
-        a, b = a[~far], b[~far]
+    far = np.hypot(*(center[a] - center[b]).T) > pair_max_separation
+    a, b = a[~far], b[~far]
     cross = direction[a, 0] * direction[b, 1] - direction[a, 1] * direction[b, 0]
     parallel = np.abs(cross) < min_crossing_sine
     diag.skipped_parallel = int(np.count_nonzero(parallel))
@@ -508,12 +508,11 @@ def intersect_lines(
     bi, bj, cross = offset[ki], offset[kj], cross[pair]
     qx = (bi * direction[ib, 1] - bj * direction[ia, 1]) / cross
     qy = (direction[ia, 0] * bj - direction[ib, 0] * bi) / cross
-    if max_offset is not None:
-        keep = ~(
-            (np.hypot(qx - center[ia, 0], qy - center[ia, 1]) > max_offset)
-            | (np.hypot(qx - center[ib, 0], qy - center[ib, 1]) > max_offset)
-        )
-        qx, qy, ki, kj, ia, ib = (v[keep] for v in (qx, qy, ki, kj, ia, ib))
+    keep = ~(
+        (np.hypot(qx - center[ia, 0], qy - center[ia, 1]) > max_offset)
+        | (np.hypot(qx - center[ib, 0], qy - center[ib, 1]) > max_offset)
+    )
+    qx, qy, ki, kj, ia, ib = (v[keep] for v in (qx, qy, ki, kj, ia, ib))
     diag.intersections = int(qx.size)
     if not qx.size:
         return [], diag
@@ -579,18 +578,15 @@ def intersect_lines(
     return estimates, diag
 
 
-def estimate_height(
-    plane_images: np.ndarray,
-    z_step: float,
-    mask_threshold: float = 0.1,
-) -> tuple[np.ndarray, np.ndarray]:
+def estimate_height(plane_images: np.ndarray, z_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel surface height from vertical-wavenumber plane images.
 
     ``plane_images[i]`` is the complex image reconstructed at vertical
     wavenumber i * z_step (plane 0 is the ground plane). For each nonzero
-    pixel bright enough in the ground image, the ratio sequence against the
-    ground plane is a complex exponential whose frequency is the surface
-    height; the height is read off the peak DFT bin. Heights wrap at the
+    pixel of at least a tenth of the ground image's peak, the ratio
+    sequence against the ground plane is a complex exponential whose
+    frequency is the surface height; the height is read off the peak DFT
+    bin. Heights wrap at the
     unambiguous limit 2*pi / z_step; quantization is one DFT bin,
     2*pi / (count * z_step). Returns (height, valid_mask); masked
     pixels hold NaN.
@@ -604,7 +600,7 @@ def estimate_height(
     ground = planes[0]
     magnitude = np.abs(ground)
     # a dark ground pixel has no ratio sequence, even in an all-dark image
-    valid = (magnitude >= mask_threshold * magnitude.max()) & (magnitude > 0)
+    valid = (magnitude >= 0.1 * magnitude.max()) & (magnitude > 0)
     height = np.full(ground.shape, np.nan)
     if not np.any(valid):
         return height, valid

@@ -93,14 +93,13 @@ def random_reflector_scene(
     side: float,
     seed: int,
     resolution: float = 1.0,
-    magnitude: float = 1.0,
 ) -> Scene:
     """Scene with ``count`` random unit squares on a dark background.
 
     Square centers are uniform over positions keeping the square fully
-    inside the extent; overlap is permitted and takes the maximum
-    magnitude. Every nonzero pixel gets an independent uniform phase in
-    [0, 2pi). Deterministic given the seed.
+    inside the extent; overlap is permitted and stays at unit magnitude.
+    Every lit pixel gets an independent uniform phase in [0, 2pi).
+    Deterministic given the seed.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -113,20 +112,19 @@ def random_reflector_scene(
     cx = rng.uniform(-extent[0] / 2 + half, extent[0] / 2 - half, size=count)
     cy = rng.uniform(-extent[1] / 2 + half, extent[1] / 2 - half, size=count)
     reflectors = tuple(
-        ReflectorSpec(center=GroundPoint(float(x), float(y)), side=side, magnitude=magnitude)
+        ReflectorSpec(center=GroundPoint(float(x), float(y)), side=side)
         for x, y in zip(cx, cy)
     )
     xs = (np.arange(nx) + 0.5) * resolution - extent[0] / 2.0
     ys = (np.arange(ny) + 0.5) * resolution - extent[1] / 2.0
-    mag = np.zeros((nx, ny))
+    lit = np.zeros((nx, ny), dtype=bool)
     for window in _windows(xs, ys, reflectors):
-        np.maximum(mag[window], magnitude, out=mag[window])
+        lit[window] = True
     # a dark pixel is 0+0j with or without a phase, so draw phases for the
     # lit pixels only, in row-major order
-    nonzero = mag > 0
-    phase = rng.uniform(0.0, 2 * np.pi, size=int(nonzero.sum()))
+    phase = rng.uniform(0.0, 2 * np.pi, size=int(lit.sum()))
     reflectivity = np.zeros((nx, ny), dtype=complex)
-    reflectivity[nonzero] = mag[nonzero] * np.exp(1j * phase)
+    reflectivity[lit] = np.exp(1j * phase)
     return Scene(
         extent=extent,
         resolution=resolution,

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import netsar
+import netsar.cli
 from netsar.cli import (
     PATCH_COLUMNS,
     build_network,
@@ -26,6 +27,7 @@ from netsar.cli import (
     simulate_run,
 )
 from netsar.config import (
+    _ALGORITHMS,
     BeamConfig,
     NetworkConfig,
     ReconstructionConfig,
@@ -46,7 +48,7 @@ from netsar.errors import (
 from netsar.forward import synthesize_measurement
 from netsar.geometry import BeamSpec, beam_footprint
 from netsar.imageio import read_pgm, read_table, write_table
-from netsar.patches import align_and_place, align_distance
+from netsar.patches import align_and_place, align_distance, wavenumber_vectors
 
 SMALL = RunConfig(
     scene=SceneConfig(extent_m=200.0, resolution_m=1.0, reflector_count=12, seed=1),
@@ -430,8 +432,8 @@ def test_load_dataset_rejects_samples_that_are_not_complex(
 
 @pytest.mark.parametrize(
     "stored",
-    [lambda s: s.astype(np.complex128), np.asfortranarray, lambda s: s.astype(">c8")],
-    ids=["complex128", "fortran_order", "big_endian"],
+    [lambda s: s.astype(np.complex128), lambda s: s.astype(">c8")],
+    ids=["complex128", "big_endian"],
 )
 def test_load_dataset_reads_samples_stored_otherwise(small_dataset, tmp_path, stored):
     out = shutil.copytree(small_dataset, tmp_path / "run")
@@ -441,6 +443,24 @@ def test_load_dataset_reads_samples_stored_otherwise(small_dataset, tmp_path, st
     for loaded, original in zip(load_dataset(SMALL, out), load_dataset(SMALL, small_dataset)):
         assert loaded.samples.dtype == dtype
         assert np.array_equal(loaded.samples, original.samples)
+
+
+@pytest.mark.parametrize(
+    "layout, version, message",
+    [("F", (1, 0), "is Fortran-ordered"), ("C", (2, 0), "is a .npy 2.0 file")],
+    ids=["fortran_order", "version_2"],
+)
+def test_load_dataset_refuses_a_layout_netsar_does_not_write(
+    small_dataset, tmp_path, layout, version, message
+):
+    out = shutil.copytree(small_dataset, tmp_path / "run")
+    samples = np.load(out / "samples.npy")
+    with open(out / "samples.npy", "wb") as fh:
+        np.lib.format.write_array(fh, np.asarray(samples, order=layout), version=version)
+    _record_checksum(out, "samples.npy")
+    assert np.array_equal(np.load(out / "samples.npy"), samples)
+    with pytest.raises(CorruptDatasetError, match=f"samples.npy in .* {re.escape(message)}"):
+        load_dataset(SMALL, out)
 
 
 def test_loaded_patches_share_one_sample_array(small_dataset):
@@ -721,7 +741,8 @@ def test_no_reconstruction_reads_the_ground_truth(small_dataset, tmp_path):
     blind = shutil.copytree(small_dataset, tmp_path / "blind")
     (blind / "scene.csv").unlink()
     (blind / "scene.pgm").unlink()
-    for algorithm in ("procedure2", "intersect", "procedure1", "isar"):
+    # 3d still reads scene.csv for its height planes
+    for algorithm in (a for a in _ALGORITHMS if a != "3d"):
         cfg = dataclasses.replace(
             SMALL, reconstruction=ReconstructionConfig(algorithm=algorithm)
         )
@@ -799,6 +820,28 @@ def test_reconstruct_isar_reports_the_blas_thread_count(
     assert f"isar_blas_threads = {expected}" in report
 
 
+def test_reconstruct_isar_solves_the_fully_aligned_samples(small_dataset, tmp_path, monkeypatch):
+    # the voxel solve gets align_and_place's samples, the ones its k-vectors
+    # describe, strided as its k-vectors are
+    seen = []
+
+    def capture(k_vectors, values, grid):
+        seen.append((k_vectors, values))
+        return solve(k_vectors, values, grid)
+
+    solve = netsar.cli.solve_voxel_grid
+    monkeypatch.setattr(netsar.cli, "solve_voxel_grid", capture)
+    cfg = dataclasses.replace(SMALL, reconstruction=ReconstructionConfig(algorithm="isar"))
+    reconstruct_run(cfg, small_dataset, tmp_path, seed=7)
+    group = netsar.cli._largest_beam_group(load_dataset(SMALL, small_dataset))
+    kvecs = np.concatenate([wavenumber_vectors(p).reshape(-1, 3) for p in group])
+    values = np.concatenate([align_and_place(p).samples.reshape(-1) for p in group])
+    stride = max(1, len(values) // 1500)
+    ((k_seen, values_seen),) = seen
+    assert k_seen.tobytes() == (-kvecs[::stride]).tobytes()
+    assert values_seen.tobytes() == values[::stride].tobytes()
+
+
 def test_reconstruct_of_a_refused_dataset_leaves_no_output_directory(small_dataset, tmp_path):
     out = shutil.copytree(small_dataset, tmp_path / "run")
     raw = (out / "samples.npy").read_bytes()
@@ -824,6 +867,15 @@ def test_main_scene_and_config_round_trip(tmp_path, capsys):
     assert rc == 0
     assert (out / "scene.csv").exists()
     assert "wrote scene" in capsys.readouterr().out
+
+
+def test_main_refuses_a_missing_config_file_in_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    rc = main(["simulate", "--config", str(missing), "--out", str(tmp_path / "data")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert err.startswith(f"netsar: ConfigError: cannot read {missing}: ")
+    assert not (tmp_path / "data").exists()
 
 
 def test_main_reconstruct_reads_the_dataset_config(tmp_path, capsys):

@@ -91,6 +91,15 @@ def test_load_config_errors_name_the_file(tmp_path):
     assert str(info.value) == f"{path}: line 2: unknown key 'reconstruction.pad_factor'"
 
 
+def test_a_key_set_twice_is_refused_naming_both_lines():
+    text = "scene.extent_m = 100.0\n# comment\nscene.extent_m = 200.0\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == "line 3: key 'scene.extent_m' is already set on line 1"
+    with pytest.raises(ConfigError, match="already set on line 1"):
+        parse_config("output_dir = a\noutput_dir = b\n")
+
+
 def test_save_and_load(tmp_path):
     cfg = RunConfig(output_dir="elsewhere")
     path = tmp_path / "run.cfg"

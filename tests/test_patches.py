@@ -14,7 +14,6 @@ from netsar.geometry import (
 from netsar.patches import (
     align_and_place,
     align_distance,
-    align_orientation,
     misalignment_angle,
     wavenumber_vectors,
 )
@@ -87,24 +86,25 @@ def test_misalignment_angle_zero_at_broadside():
 
 def test_align_orientation_removes_array_ramp():
     # rotating the array adds a near-linear phase ramp across antennas;
-    # alignment should restore the broadside phase progression
-    base = _patch(point=(2.0, 1.0))
+    # align_and_place's orientation step should restore the broadside
+    # phase progression (its distance step is one factor per subcarrier)
+    base = align_and_place(_patch(point=(2.0, 1.0)))
     rotated = _patch(
         point=(2.0, 1.0), rx_orientation=math.atan2(400.0, 0.0) - math.pi / 2 + 0.25
     )
-    fixed = align_orientation(rotated)
+    fixed = align_and_place(rotated)
     phase_base = np.unwrap(np.angle(base.samples[:, 0]))
     phase_fixed = np.unwrap(np.angle(fixed.samples[:, 0]))
     ramp_base = np.diff(phase_base)
     ramp_fixed = np.diff(phase_fixed)
-    ramp_raw = np.diff(np.unwrap(np.angle(rotated.samples[:, 0])))
+    ramp_raw = np.diff(np.unwrap(np.angle(align_distance(rotated).samples[:, 0])))
     assert np.abs(ramp_fixed - ramp_base).max() < np.abs(ramp_raw - ramp_base).max() * 0.05
 
 
 def test_align_orientation_identity_at_broadside():
+    # at broadside align_and_place is the distance step alone
     patch = _patch()
-    aligned = align_orientation(patch)
-    assert np.array_equal(aligned.samples, patch.samples)
+    assert np.array_equal(align_and_place(patch).samples, align_distance(patch).samples)
 
 
 @pytest.mark.parametrize("subcarrier_count", [256, 37, 1])
@@ -128,10 +128,7 @@ def test_align_orientation_ramp_equals_the_direct_exponential(subcarrier_count):
     patch = MeasurementPatch(samples, tx, rx, wf, GroundPoint(3.0, -2.0))
     a = antenna_offsets(64, 0.029979) * math.sin(misalignment_angle(patch))
     ramp = np.exp(1j * np.outer(a, wf.wavenumbers()))
-    np.testing.assert_allclose(
-        align_orientation(patch).samples, samples * ramp, rtol=1e-12, atol=0
-    )
-    # align_and_place applies the distance correction and the same ramp
+    # align_and_place applies the distance correction, then this ramp
     np.testing.assert_allclose(
         align_and_place(patch).samples,
         align_distance(patch).samples * ramp,
@@ -189,3 +186,21 @@ def test_align_and_place_phase_matches_far_field_model():
         exact = np.exp(1j * k * (d_tx0 + d_rx0 - d1 - d2))
         exact_err.append(np.angle(observed[l] * np.conj(exact)))
     assert np.abs(np.array(exact_err)).max() < 1e-9
+
+
+def test_align_and_place_matches_the_model_far_off_broadside():
+    # seen through 64 antennas 1.98 rad off broadside, a point target's
+    # orientation ramp spans about 100 rad at the top subcarrier: without
+    # it the samples miss exp(+j k . (p - c)) by up to pi. align_and_place
+    # leaves the far-field curvature and the ramp's neglect of the
+    # receiver's elevation, about 0.8 rad here.
+    p = np.array([0.5, -0.5, 0.0])
+    broadside = math.atan2(400.0, 0.0) - math.pi / 2
+    patch = _patch(point=tuple(p[:2]), rx_orientation=broadside + 1.98, n_ant=64)
+    model = np.exp(1j * wavenumber_vectors(patch) @ p)
+
+    def miss(aligned):
+        return np.abs(np.angle(aligned.samples * np.conj(model))).max()
+
+    assert miss(align_distance(patch)) > 3.0
+    assert miss(align_and_place(patch)) < 1.0

@@ -546,6 +546,10 @@ def test_range_profile_peak_location():
     assert abs(best - expected) < 0.5 * bin_width
 
 
+# intersect_lines' distance limits, set so that neither cuts anything
+NO_LIMIT = dict(max_offset=math.inf, pair_max_separation=math.inf)
+
+
 def test_intersect_lines_recovers_two_reflectors():
     # synthetic profiles: three stations looking at two scatterers
     import dataclasses
@@ -568,7 +572,9 @@ def test_intersect_lines_recovers_two_reflectors():
                 center=np.zeros(2),
             )
         )
-    estimates, diag = intersect_lines(profiles, cluster_radius=1.0, min_support=2)
+    estimates, diag = intersect_lines(
+        profiles, cluster_radius=1.0, min_support=2, **NO_LIMIT
+    )
     assert diag.intersections > 0
     assert len(estimates) == 2
     found = sorted(
@@ -588,9 +594,9 @@ def test_intersect_lines_skips_parallel_and_empty():
         direction=d,
         center=np.zeros(2),
     )
-    estimates, diag = intersect_lines([mk(), mk()], cluster_radius=1.0)
+    estimates, diag = intersect_lines([mk(), mk()], cluster_radius=1.0, **NO_LIMIT)
     assert estimates == [] and diag.skipped_parallel == 1
-    estimates, diag = intersect_lines([mk()], cluster_radius=1.0)
+    estimates, diag = intersect_lines([mk()], cluster_radius=1.0, **NO_LIMIT)
     assert estimates == [] and diag.intersections == 0
 
 
@@ -663,8 +669,8 @@ def test_range_profiles_edge_peaks_are_the_per_bin_loops(case, target):
 
 
 def _intersect_lines_reference(
-    profiles, cluster_radius, min_support=2, min_crossing_sine=1e-3,
-    max_offset=None, pair_max_separation=None,
+    profiles, cluster_radius, min_support=2, min_crossing_sine=1e-3, *,
+    max_offset, pair_max_separation,
 ):
     """intersect_lines as the per-pair and per-cell loops computed it."""
     diag = IntersectDiagnostics()
@@ -683,9 +689,8 @@ def _intersect_lines_reference(
                 continue
             djx, djy = float(pj.direction[0]), float(pj.direction[1])
             cjx, cjy = float(pj.center[0]), float(pj.center[1])
-            if pair_max_separation is not None:
-                if math.hypot(cix - cjx, ciy - cjy) > pair_max_separation:
-                    continue
+            if math.hypot(cix - cjx, ciy - cjy) > pair_max_separation:
+                continue
             cross = dix * djy - diy * djx
             if abs(cross) < min_crossing_sine:
                 diag.skipped_parallel += 1
@@ -696,12 +701,11 @@ def _intersect_lines_reference(
                     bj = rj + djx * cjx + djy * cjy
                     qx = (bi * djy - bj * diy) / cross
                     qy = (dix * bj - djx * bi) / cross
-                    if max_offset is not None:
-                        if (
-                            math.hypot(qx - cix, qy - ciy) > max_offset
-                            or math.hypot(qx - cjx, qy - cjy) > max_offset
-                        ):
-                            continue
+                    if (
+                        math.hypot(qx - cix, qy - ciy) > max_offset
+                        or math.hypot(qx - cjx, qy - cjy) > max_offset
+                    ):
+                        continue
                     points.append((qx, qy))
                     weights.append(mi + mj)
                     pair_ids.append((i, j))
@@ -782,6 +786,7 @@ def _random_profiles(rng):
     return profiles
 
 
+# None: no limit, passed as math.inf
 @pytest.mark.parametrize("max_offset", [None, 25.0])
 @pytest.mark.parametrize("pair_max_separation", [None, 30.0])
 def test_intersect_lines_matches_the_loop_reference(max_offset, pair_max_separation):
@@ -791,8 +796,8 @@ def test_intersect_lines_matches_the_loop_reference(max_offset, pair_max_separat
         kwargs = dict(
             cluster_radius=float(rng.choice([0.5, 1.0, 2.0])),
             min_support=int(rng.integers(2, 4)),
-            max_offset=max_offset,
-            pair_max_separation=pair_max_separation,
+            max_offset=math.inf if max_offset is None else max_offset,
+            pair_max_separation=math.inf if pair_max_separation is None else pair_max_separation,
         )
         got, got_diag = intersect_lines(profiles, **kwargs)
         want, want_diag = _intersect_lines_reference(profiles, **kwargs)
@@ -805,8 +810,8 @@ def test_intersect_lines_of_profiles_without_peaks_matches_the_reference():
     empty = RangeProfile(peaks=(), direction=d, center=np.zeros(2))
     one = RangeProfile(peaks=((1.0, 1.0),), direction=d, center=np.zeros(2))
     for profiles in ([], [empty], [empty, empty], [empty, one, empty]):
-        assert intersect_lines(profiles, cluster_radius=1.0) == (
-            _intersect_lines_reference(profiles, cluster_radius=1.0)
+        assert intersect_lines(profiles, cluster_radius=1.0, **NO_LIMIT) == (
+            _intersect_lines_reference(profiles, cluster_radius=1.0, **NO_LIMIT)
         )
 
 

@@ -14,37 +14,40 @@ checkable for bit-identical outputs.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import io
 import math
 import os
 import sys
 import warnings
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import projection_slice_check, resolutions
-from .config import RunConfig, load_config, save_config, serialize_config
+from .config import RunConfig, load_config, save_config
 from .constants import SPEED_OF_LIGHT
+from .dataset import (
+    PATCH_COLUMNS,
+    Dataset,
+    _save_npy,
+    _sha256,
+    build_network,
+    channel_waveform,
+    load_dataset,  # noqa: F401  (the eager reader, kept importable from the CLI)
+    open_dataset,
+    write_manifest,
+)
 from .errors import (
     ConfigError,
-    CorruptDatasetError,
     EmptyFootprintError,
     InvalidBeamError,
-    MissingDatasetError,
     NetsarError,
     UnknownAlgorithmError,
 )
-from .forward import (
-    MeasurementPatch,
-    WaveformSpec,
-    illuminated_pixels,
-    synthesize_measurement,
-)
-from .geometry import BaseStation, BeamSpec, GroundPoint, beam_footprint
-from .imageio import read_table, write_pgm, write_table
+from .forward import illuminated_pixels, synthesize_measurement
+from .geometry import BeamSpec, beam_footprint
+from .imageio import write_pgm, write_table
 from .isar import VoxelGrid, solve_voxel_grid, voxel_grid_slices_to_pgm, voxel_grid_to_csv
 from .patches import align_and_place, wavenumber_vectors
 from .reconstruct import (
@@ -65,37 +68,7 @@ from .tradeoff import (
 )
 
 
-# ---------------------------------------------------------------- network
-
-
-def build_network(cfg: RunConfig) -> list[BaseStation]:
-    """Stations on a square grid centered on the scene origin.
-
-    Each array is mounted broadside to the station's line of sight to
-    the scene center (the deployment that minimizes the orientation
-    phase ramp for looks near the center).
-    """
-    n = cfg.network
-    side = n.grid_side
-    stations = []
-    for i in range(side):
-        for j in range(side):
-            x = (i - (side - 1) / 2.0) * n.grid_spacing_m
-            y = (j - (side - 1) / 2.0) * n.grid_spacing_m
-            if abs(x) < 1e-9 and abs(y) < 1e-9:
-                orientation = 0.0
-            else:
-                orientation = math.atan2(-y, -x) + math.pi / 2
-            stations.append(
-                BaseStation(
-                    position=GroundPoint(x, y, n.station_height_m),
-                    antenna_count=n.antenna_count,
-                    antenna_spacing=n.antenna_spacing_m,
-                    array_orientation=orientation,
-                    station_id=f"bs{i}{j}",
-                )
-            )
-    return stations
+# ------------------------------------------------------------------ scene
 
 
 def build_scene(cfg: RunConfig) -> Scene:
@@ -110,81 +83,7 @@ def build_scene(cfg: RunConfig) -> Scene:
     )
 
 
-def channel_waveform(cfg: RunConfig, channel: int) -> WaveformSpec:
-    """Waveform of one frequency channel: carriers stacked by bandwidth."""
-    w = cfg.waveform
-    bandwidth = w.subcarrier_count * w.subcarrier_spacing_hz
-    return WaveformSpec(
-        carrier_frequency=w.carrier_frequency_hz + channel * bandwidth,
-        subcarrier_count=w.subcarrier_count,
-        subcarrier_spacing=w.subcarrier_spacing_hz,
-    )
-
-
-# --------------------------------------------------------------- manifest
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
-
-
-def write_manifest(out: Path, cfg: RunConfig, seed: int, extra_lines: list[str]) -> None:
-    """key = value manifest with artifact checksums, written last.
-
-    A ``checksum.<artifact> = <sha256>`` line among extra_lines gives that
-    artifact's checksum, which is then not read back from disk; it is
-    listed with the other checksums, in path order.
-    """
-    lines = [f"config_hash = {_config_hash(cfg)}", f"seed = {seed}"]
-    known = {}
-    for line in extra_lines:
-        key, _, value = line.partition(" = ")
-        if key.startswith("checksum."):
-            known[key] = value
-        else:
-            lines.append(line)
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != "manifest.txt":
-            key = f"checksum.{path.relative_to(out)}"
-            lines.append(f"{key} = {known.get(key) or _sha256(path)}")
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
-def _save_npy(path: Path, shape: tuple[int, ...], blocks) -> str:
-    """Write the complex64 array of the given shape, block by block, to path.
-
-    The file is the one np.save writes of that array (format 1.0), its
-    header built from the shape alone. The blocks are the array's
-    shape[0] rows in turn; each is cast to complex64, written and hashed
-    as it comes, so the whole array is never held. Returns the file's
-    sha256.
-    """
-    header = io.BytesIO()
-    descr = np.lib.format.dtype_to_descr(np.dtype(np.complex64))
-    np.lib.format.write_array_header_1_0(
-        header, {"descr": descr, "fortran_order": False, "shape": shape}
-    )
-    digest = hashlib.sha256(header.getbuffer())
-    with open(path, "wb") as fh:
-        fh.write(header.getbuffer())
-        for block in blocks:
-            row = np.ascontiguousarray(block, dtype=np.complex64)
-            fh.write(row)
-            digest.update(row)
-    return digest.hexdigest()
-
-
 # --------------------------------------------------------------- simulate
-
-PATCH_COLUMNS = ["slot", "channel", "tx_id", "rx_id", "tilt", "planar"]
 
 
 def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
@@ -281,180 +180,6 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     return len(rows)
 
 
-# ------------------------------------------------------------ dataset I/O
-
-
-def load_dataset(cfg: RunConfig, dataset: Path):
-    """Rebuild MeasurementPatch objects from a simulate_run dataset.
-
-    The dataset's config.txt is the one source of its geometry: the
-    given config must equal it in every section except reconstruction
-    and output_dir, or ConfigError names the conflicting key. Row i of
-    patches.csv describes samples.npy[i]; its footprint is rebuilt from
-    its transmitter, tilt and planar angle and the config's open angle,
-    and its region center is that footprint's center. Columns besides
-    PATCH_COLUMNS are ignored.
-
-    samples.npy is read once, into one array kept at the complex type it
-    is stored in (simulate_run stores complex64); each patch's samples
-    are a view of its row, made of the very bytes the manifest's checksum
-    was compared against. Alignment widens each patch to complex128 as it
-    multiplies it by its correction. Raises CorruptDatasetError
-    when samples.npy cannot be read, is not in the .npy 1.0 C-order
-    layout simulate_run writes, is not a complex array (rejected from
-    its header, so nothing is unpickled) or does not hold one finite
-    (antenna, subcarrier) grid per patches.csv row, when patches.csv
-    lacks a column, and when one of its rows is malformed: the channel
-    is not a configured channel, a station is not in the configured
-    network, the tilt or planar angle is not finite, or the tilt makes
-    no valid beam. Last, samples.npy, patches.csv and config.txt must
-    match the sha256 checksums that manifest.txt records; a mismatch or
-    a missing checksum raises CorruptDatasetError naming the file.
-    """
-    for name in ("patches.csv", "samples.npy", "config.txt", "manifest.txt"):
-        if not (dataset / name).is_file():
-            raise MissingDatasetError(f"no {name} in dataset {dataset}")
-    pairs = zip(
-        serialize_config(cfg).splitlines(),
-        serialize_config(load_config(dataset / "config.txt")).splitlines(),
-    )
-    for given, simulated in pairs:
-        if given != simulated and not given.startswith(("reconstruction.", "output_dir")):
-            raise ConfigError(f"{given} conflicts with the dataset's {simulated}")
-    header, rows = read_table(dataset / "patches.csv")
-    missing = [name for name in PATCH_COLUMNS if name not in header]
-    if missing:
-        raise CorruptDatasetError(f"patches.csv in {dataset} has no column {missing}")
-    if not rows:
-        raise MissingDatasetError(f"dataset at {dataset} contains no patches")
-    expected = (len(rows), cfg.network.antenna_count, cfg.waveform.subcarrier_count)
-    samples, samples_digest = _read_samples(dataset / "samples.npy", expected)
-    digests = {
-        "samples.npy": samples_digest,
-        "patches.csv": _sha256(dataset / "patches.csv"),
-        "config.txt": _sha256(dataset / "config.txt"),
-    }
-    stations = {s.station_id: s for s in build_network(cfg)}
-    network = f"a station of the {cfg.network.grid_side}x{cfg.network.grid_side} network"
-    channels = cfg.schedule.channel_count
-    open_angle = math.radians(cfg.beam.open_angle_deg)
-    patches = []
-    for line, (row, grid) in enumerate(zip(rows, samples), start=2):
-        if len(row) != len(header):
-            raise CorruptDatasetError(
-                f"patches.csv line {line} has {len(row)} fields, not {len(header)}"
-            )
-        cells = dict(zip(header, row))
-        channel = _cell(
-            cells, line, "channel", int, lambda v: 0 <= v < channels,
-            f"a channel in 0..{channels - 1}",
-        )
-        tx = _cell(cells, line, "tx_id", stations.get, bool, network)
-        rx = _cell(cells, line, "rx_id", stations.get, bool, network)
-        wf = channel_waveform(cfg, channel)
-        footprint = _footprint(cells, line, tx, open_angle)
-        patches.append(MeasurementPatch(grid, tx, rx, wf, footprint.center, footprint))
-    recorded = _manifest_checksums(dataset / "manifest.txt")
-    for name, digest in digests.items():
-        if name not in recorded:
-            raise CorruptDatasetError(
-                f"manifest.txt in {dataset} records no checksum of {name}"
-            )
-        if recorded[name] != digest:
-            raise CorruptDatasetError(
-                f"{name} in {dataset} does not match the checksum manifest.txt records"
-            )
-    return patches
-
-
-def _read_samples(path: Path, shape: tuple[int, int, int]) -> tuple[np.ndarray, str]:
-    """samples.npy as an array of the given shape and stored dtype, and its sha256.
-
-    Streams the file once. Its header is parsed first, so a file of the
-    wrong shape or of a non-complex dtype (an object array included) is
-    rejected before any sample is read or memory is allocated for it, as
-    is any layout but the .npy 1.0 C-order one ``_save_npy`` writes.
-    Then each row of the file is read straight into one preallocated
-    array of the stored dtype, hashed and checked for finiteness, so the
-    array returned holds exactly the bytes that were hashed.
-    """
-    where = f"{path.name} in {path.parent}"
-    with open(path, "rb") as fh:
-        try:
-            version = np.lib.format.read_magic(fh)
-            if version != (1, 0):
-                raise CorruptDatasetError(
-                    f"{where} is a .npy {version[0]}.{version[1]} file, "
-                    "not the .npy 1.0 C-order layout netsar writes"
-                )
-            stored, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-        except ValueError as exc:  # a truncated or garbled header
-            raise CorruptDatasetError(f"{where}: {exc}") from None
-        if fortran_order:
-            raise CorruptDatasetError(
-                f"{where} is Fortran-ordered, not the .npy 1.0 C-order layout netsar writes"
-            )
-        if not np.issubdtype(dtype, np.complexfloating):
-            raise CorruptDatasetError(f"{where} holds {dtype} values, not complex samples")
-        if stored != shape:
-            raise CorruptDatasetError(
-                f"{path.name} has shape {stored}; patches.csv and the config call for {shape}"
-            )
-        data_start = fh.tell()
-        fh.seek(0)
-        digest = hashlib.sha256(fh.read(data_start))
-        samples = np.empty(shape, dtype)
-        # the parts' float dtype: np.isfinite runs about twice as fast on it
-        part = np.empty(0, dtype).real.dtype
-        for raw in samples.reshape(len(samples), -1).view(np.uint8):
-            if fh.readinto(raw) != raw.size:
-                raise CorruptDatasetError(f"{where} is truncated")
-            digest.update(raw)
-            if not np.isfinite(raw.view(part)).all():
-                raise CorruptDatasetError(f"{where} holds non-finite samples")
-        # bytes past the last sample belong to the file's checksum too
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return samples, digest.hexdigest()
-
-
-def _manifest_checksums(path: Path) -> dict[str, str]:
-    """The artifact checksums a manifest records, by artifact name."""
-    checksums = {}
-    for line in path.read_bytes().decode(errors="replace").splitlines():
-        key, _, value = line.partition(" = ")
-        if key.startswith("checksum."):
-            checksums[key.removeprefix("checksum.")] = value
-    return checksums
-
-
-def _footprint(cells, line, tx, open_angle):
-    """The footprint of the row's beam."""
-    tilt = _cell(cells, line, "tilt", float, math.isfinite, "a finite number")
-    planar = _cell(cells, line, "planar", float, math.isfinite, "a finite number")
-    try:
-        footprint = beam_footprint(tx, BeamSpec(open_angle, tilt, planar))
-    except InvalidBeamError as exc:
-        raise CorruptDatasetError(
-            f"patches.csv line {line}, column tilt: {cells['tilt']!r} is not "
-            f"a valid beam tilt ({exc})"
-        ) from None
-    return footprint
-
-
-def _cell(cells, line, name, parse, valid, expected):
-    """One patches.csv field, parsed and checked, or CorruptDatasetError."""
-    try:
-        value = parse(cells[name])
-    except ValueError:
-        value = None
-    if value is None or not valid(value):
-        raise CorruptDatasetError(
-            f"patches.csv line {line}, column {name}: {cells[name]!r} is not {expected}"
-        )
-    return value
-
-
 # ------------------------------------------------------------ reconstruct
 
 
@@ -473,11 +198,11 @@ def _report_header(cfg: RunConfig, n_patches: int) -> list[str]:
     ]
 
 
-def _largest_beam_group(patches):
-    """The patches of the beam most receivers recorded (the first such beam)."""
+def _largest_beam_group(footprints) -> list[int]:
+    """The rows of the beam most receivers recorded (the first such beam)."""
     groups: dict = {}
-    for p in patches:
-        groups.setdefault(p.footprint, []).append(p)
+    for row, footprint in enumerate(footprints):
+        groups.setdefault(footprint, []).append(row)
     return max(groups.values(), key=len)
 
 
@@ -486,7 +211,7 @@ class _PatchImages:
     iteration reaches it. Sized, so a caller may count the images without
     forming them (``bench/spans.py`` takes ``len`` of fuse_images' input)."""
 
-    def __init__(self, patches: list[MeasurementPatch]):
+    def __init__(self, patches: Dataset):
         self.patches = patches
 
     def __len__(self) -> int:
@@ -499,23 +224,28 @@ class _PatchImages:
 def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None:
     """Dispatch the configured algorithm over a dataset and write artifacts.
 
-    The dataset is loaded, and so checked, before out is created; the
-    config's simulation sections must equal the dataset's config.txt. An
-    out that resolves to the dataset directory raises ConfigError before
-    anything is read or written.
+    The dataset is checked but for its samples first (open_dataset); the
+    config's simulation sections must equal the dataset's config.txt.
+    Then samples.npy is streamed once through the algorithm, which keeps
+    only what it needs: intersect and procedure2 one patch at a time,
+    procedure1 and isar the rows of the largest beam group, 3d none.
+    Out is created, and the artifacts written, only after the last row,
+    once samples.npy has matched its checksum, so a refused dataset
+    leaves no output directory. An out that resolves to the dataset
+    directory raises ConfigError before anything is read or written.
     """
     if out.resolve() == dataset.resolve():
         raise ConfigError(
             f"output directory {out} is the dataset {dataset}; write the reconstruction elsewhere"
         )
-    raw = load_dataset(cfg, dataset)
-    out.mkdir(parents=True, exist_ok=True)
+    data = open_dataset(cfg, dataset)
     rcfg = cfg.reconstruction
-    report = _report_header(cfg, len(raw))
+    report = _report_header(cfg, len(data))
     algorithm = rcfg.algorithm
+    writes = []  # each artifact's writer, called once samples.npy is verified
 
     if algorithm == "intersect":
-        profiles = [range_profiles(align_and_place(p), threshold_db=12.0) for p in raw]
+        profiles = [range_profiles(align_and_place(p), threshold_db=12.0) for p in data]
         window = SPEED_OF_LIGHT / (2.0 * cfg.waveform.subcarrier_spacing_hz)
         estimates, diag = intersect_lines(
             profiles,
@@ -525,14 +255,15 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
             max_offset=0.45 * window,
             pair_max_separation=0.9 * window,
         )
-        write_table(
+        writes.append(partial(
+            write_table,
             out / "estimates.csv",
             ["x", "y", "score", "supporting_lines"],
             [
                 [e.position.x, e.position.y, e.score, e.supporting_lines]
                 for e in estimates
             ],
-        )
+        ))
         report += [
             f"estimates = {len(estimates)}",
             f"intersections = {diag.intersections}",
@@ -541,15 +272,16 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         ]
     elif algorithm == "procedure2":
         fused = fuse_images(
-            _PatchImages(raw),
+            _PatchImages(data),
             extent=(cfg.scene.extent_m, cfg.scene.extent_m),
             spacing=rcfg.pixel_spacing_m,
             method=rcfg.fusion_method,
         )
-        write_pgm(fused.magnitude, out / "fused.pgm")
+        writes.append(partial(write_pgm, fused.magnitude, out / "fused.pgm"))
         report.append(f"fused_pixels = {fused.magnitude.shape}")
     elif algorithm == "procedure1":
-        aligned = [align_and_place(p) for p in _largest_beam_group(raw)]
+        group = data.patches(_largest_beam_group(data.footprints))
+        aligned = [align_and_place(p) for p in group]
         wf_top = channel_waveform(cfg, cfg.schedule.channel_count - 1)
         k_max = (
             4.0 * np.pi * (wf_top.carrier_frequency + wf_top.bandwidth) / SPEED_OF_LIGHT
@@ -557,12 +289,14 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         S = 512
         pixel_extent = 0.9 * S * 2.0 * np.pi / k_max
         image = procedure1_invert(aligned, S, pixel_extent)
-        write_pgm(image.magnitude, out / "procedure1.pgm")
+        writes.append(partial(write_pgm, image.magnitude, out / "procedure1.pgm"))
         report += [
             f"procedure1_patches = {len(aligned)}",
             f"pixel_extent_m = {pixel_extent!r}",
         ]
     elif algorithm == "3d":
+        for _ in data:  # the planes come from scene.csv; the samples are only verified
+            pass
         truth = scene_from_csv(
             dataset / "scene.csv",
             (cfg.scene.extent_m, cfg.scene.extent_m),
@@ -583,12 +317,14 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         rows = []
         for ix, iy in zip(*np.nonzero(valid)):
             rows.append([int(ix), int(iy), float(est[ix, iy]), float(height[ix, iy])])
-        write_table(out / "height.csv", ["x_index", "y_index", "estimate", "truth"], rows)
+        writes.append(partial(
+            write_table, out / "height.csv", ["x_index", "y_index", "estimate", "truth"], rows
+        ))
         filled = np.where(valid, est, 0.0)
-        write_pgm(filled, out / "height.pgm")
+        writes.append(partial(write_pgm, filled, out / "height.pgm"))
         report.append(f"height_pixels = {int(valid.sum())}")
     elif algorithm == "isar":
-        group = _largest_beam_group(raw)
+        group = list(data.patches(_largest_beam_group(data.footprints)))
         kvecs = np.concatenate([wavenumber_vectors(p).reshape(-1, 3) for p in group])
         values = np.concatenate([align_and_place(p).samples.reshape(-1) for p in group])
         stride = max(1, kvecs.shape[0] // 1500)
@@ -599,8 +335,8 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
             warnings.simplefilter("always")
             # aligned samples carry exp(+j k . p): negate k for the e^{-j} model
             voxels, rank = solve_voxel_grid(-kvecs, values, grid)
-        voxel_grid_to_csv(voxels, out / "voxels.csv")
-        voxel_grid_slices_to_pgm(voxels, out)
+        writes.append(partial(voxel_grid_to_csv, voxels, out / "voxels.csv"))
+        writes.append(partial(voxel_grid_slices_to_pgm, voxels, out))
         # the solve's last bits depend on how BLAS splits it across threads
         blas_threads = (
             os.environ.get("OPENBLAS_NUM_THREADS")
@@ -614,6 +350,9 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         ]
         report += [f"isar_warning = {w.message}" for w in caught]
 
+    out.mkdir(parents=True, exist_ok=True)
+    for write in writes:
+        write()
     (out / "report.txt").write_text("\n".join(report) + "\n")
     write_manifest(
         out, cfg, seed, [f"dataset_manifest = {_sha256(dataset / 'manifest.txt')}"]

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -463,13 +464,13 @@ def test_load_dataset_refuses_a_layout_netsar_does_not_write(
         load_dataset(SMALL, out)
 
 
-def test_loaded_patches_share_one_sample_array(small_dataset):
+def test_each_loaded_patch_owns_the_bytes_of_its_row(small_dataset):
+    # a patch kept from the stream holds its own row, not a view of the file's
     patches = load_dataset(SMALL, small_dataset)
-    stack = patches[0].samples.base
-    assert stack is not None and stack.shape == (len(patches), *patches[0].samples.shape)
-    for i, p in enumerate(patches):
-        assert p.samples.base is stack
-        assert np.shares_memory(p.samples, stack[i])
+    stored = np.load(small_dataset / "samples.npy")
+    for p, row in zip(patches, stored, strict=True):
+        assert p.samples.flags.owndata and p.samples.flags.c_contiguous
+        assert p.samples.tobytes() == row.tobytes()
 
 
 def test_alignment_of_a_loaded_patch_equals_that_of_its_widened_samples(small_dataset):
@@ -820,6 +821,38 @@ def test_reconstruct_isar_reports_the_blas_thread_count(
     assert f"isar_blas_threads = {expected}" in report
 
 
+def _largest_beam_group(patches):
+    # the group the dense algorithms image: the patches of the beam most
+    # receivers recorded, the first such beam in row order on a tie
+    groups = {}
+    for p in patches:
+        groups.setdefault(p.footprint, []).append(p)
+    return max(groups.values(), key=len)
+
+
+def test_procedure1_images_the_rows_of_the_first_largest_beam_group(
+    small_dataset, tmp_path, monkeypatch
+):
+    sizes = Counter(p.footprint for p in load_dataset(SMALL, small_dataset)).values()
+    assert list(sizes).count(max(sizes)) > 1  # the tie the first-beam rule breaks
+    seen = []
+
+    def capture(patches, S, pixel_extent):
+        seen.append(patches)
+        return invert(patches, S, pixel_extent)
+
+    invert = netsar.cli.procedure1_invert
+    monkeypatch.setattr(netsar.cli, "procedure1_invert", capture)
+    cfg = dataclasses.replace(SMALL, reconstruction=ReconstructionConfig(algorithm="procedure1"))
+    reconstruct_run(cfg, small_dataset, tmp_path, seed=7)
+    group = _largest_beam_group(load_dataset(SMALL, small_dataset))
+    ((aligned,),) = [seen]
+    assert len(aligned) == len(group)
+    for got, p in zip(aligned, group):
+        assert got.footprint == p.footprint and got.rx == p.rx
+        assert got.samples.tobytes() == align_and_place(p).samples.tobytes()
+
+
 def test_reconstruct_isar_solves_the_fully_aligned_samples(small_dataset, tmp_path, monkeypatch):
     # the voxel solve gets align_and_place's samples, the ones its k-vectors
     # describe, strided as its k-vectors are
@@ -833,7 +866,7 @@ def test_reconstruct_isar_solves_the_fully_aligned_samples(small_dataset, tmp_pa
     monkeypatch.setattr(netsar.cli, "solve_voxel_grid", capture)
     cfg = dataclasses.replace(SMALL, reconstruction=ReconstructionConfig(algorithm="isar"))
     reconstruct_run(cfg, small_dataset, tmp_path, seed=7)
-    group = netsar.cli._largest_beam_group(load_dataset(SMALL, small_dataset))
+    group = _largest_beam_group(load_dataset(SMALL, small_dataset))
     kvecs = np.concatenate([wavenumber_vectors(p).reshape(-1, 3) for p in group])
     values = np.concatenate([align_and_place(p).samples.reshape(-1) for p in group])
     stride = max(1, len(values) // 1500)
@@ -849,6 +882,61 @@ def test_reconstruct_of_a_refused_dataset_leaves_no_output_directory(small_datas
     with pytest.raises(CorruptDatasetError, match="samples.npy"):
         reconstruct_run(SMALL, out, tmp_path / "rec", seed=7)
     assert not (tmp_path / "rec").exists()
+
+
+def _add_one_to_the_last_sample(samples):
+    samples[-1, -1, -1] += 1.0
+
+
+def _make_the_last_sample_nan(samples):
+    samples[-1, -1, -1] = np.nan
+
+
+@pytest.mark.parametrize("algorithm", ["intersect", "procedure1", "procedure2", "isar"])
+@pytest.mark.parametrize(
+    "damage, message",
+    [(_add_one_to_the_last_sample, "does not match"), (_make_the_last_sample_nan, "non-finite")],
+    ids=["changed", "nan"],
+)
+def test_a_corrupt_last_row_leaves_no_output_directory(
+    small_dataset, tmp_path, algorithm, damage, message
+):
+    # samples.npy is verified only as it is streamed: every algorithm must
+    # read past its last row before it creates anything
+    out = shutil.copytree(small_dataset, tmp_path / "run")
+    samples = np.load(out / "samples.npy")
+    # the dense algorithms' group does not hold the last row, which must still be checked
+    assert len(samples) - 1 not in netsar.cli._largest_beam_group(
+        [p.footprint for p in load_dataset(SMALL, out)]
+    )
+    damage(samples)
+    np.save(out / "samples.npy", samples)
+    cfg = dataclasses.replace(SMALL, reconstruction=ReconstructionConfig(algorithm=algorithm))
+    with pytest.raises(CorruptDatasetError, match=f"samples.npy in .* {message}"):
+        reconstruct_run(cfg, out, tmp_path / "rec", seed=7)
+    assert not (tmp_path / "rec").exists()
+
+
+@pytest.mark.parametrize("algorithm", ["intersect", "procedure2"])
+def test_reconstruct_memory_stays_below_the_samples_it_streams(tmp_path, algorithm):
+    # numpy reports its buffers to tracemalloc; a reconstruction that held
+    # every patch would peak above the size of samples.npy
+    cfg = dataclasses.replace(
+        SMALL,
+        schedule=dataclasses.replace(SMALL.schedule, slot_count=320),
+        reconstruction=ReconstructionConfig(algorithm=algorithm, pixel_spacing_m=2.0),
+    )
+    data = tmp_path / "data"
+    assert simulate_run(cfg, data, seed=7) > 50
+    # a first run imports and caches what any later run reuses
+    reconstruct_run(cfg, data, tmp_path / "warm", seed=7)
+    tracemalloc.start()
+    try:
+        reconstruct_run(cfg, data, tmp_path / "rec", seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (data / "samples.npy").stat().st_size
 
 
 def test_reconstruct_needs_the_dataset_config(tmp_path):

@@ -17,6 +17,7 @@ import pytest
 
 import netsar
 import netsar.cli
+import netsar.dataset
 from netsar.cli import (
     PATCH_COLUMNS,
     build_network,
@@ -915,6 +916,23 @@ def test_a_corrupt_last_row_leaves_no_output_directory(
     with pytest.raises(CorruptDatasetError, match=f"samples.npy in .* {message}"):
         reconstruct_run(cfg, out, tmp_path / "rec", seed=7)
     assert not (tmp_path / "rec").exists()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_reconstruct_streams_the_samples_once(small_dataset, tmp_path, monkeypatch, algorithm):
+    # the dense algorithms pick their rows from patches.csv, not from a first pass
+    passes = []
+
+    def counted(self, rows=None):
+        passes.append(rows)
+        return stream(self, rows)
+
+    stream = netsar.dataset.Dataset.patches
+    monkeypatch.setattr(netsar.dataset.Dataset, "patches", counted)
+    reconstruction = ReconstructionConfig(algorithm=algorithm, height_plane_count=8)
+    cfg = dataclasses.replace(SMALL, reconstruction=reconstruction)
+    reconstruct_run(cfg, small_dataset, tmp_path / "rec", seed=7)
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize("algorithm", ["intersect", "procedure2"])

@@ -45,7 +45,7 @@ from .errors import (
     NetsarError,
     UnknownAlgorithmError,
 )
-from .forward import illuminated_pixels, synthesize_measurement
+from .forward import illuminated_pixels, release_buffers, synthesize_measurement
 from .geometry import BeamSpec, beam_footprint
 from .imageio import write_pgm, write_table
 from .isar import VoxelGrid, solve_voxel_grid, voxel_grid_slices_to_pgm, voxel_grid_to_csv
@@ -174,6 +174,7 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
         for tx, beam, rx, wf, footprint, lit in plan
     )
     extra = [f"checksum.samples.npy = {_save_npy(out / 'samples.npy', shape, blocks)}"]
+    release_buffers()
     extra += [f"patch_count = {len(rows)}"]
     extra += [f"skipped.{reason} = {n}" for reason, n in sorted(skipped.items())]
     write_manifest(out, cfg, seed, extra)

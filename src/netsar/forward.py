@@ -10,6 +10,7 @@ the forward model stays independent of the reconstruction chain.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import threading
 from dataclasses import dataclass, field
@@ -119,64 +120,125 @@ def illuminated_pixels(
     return np.stack([xs[gx], ys[gy], heights], axis=1), values
 
 
-# antennas whose phase tables one pass of ``_sum_blocks`` forms
-_BLOCK = 8
-# worker threads of the synthesis, built on the first lit patch; a forked
-# child has none of them and builds its own
+# (antenna, pixel, subcarrier) terms one pass of ``_sum_blocks`` forms: a
+# block holds as many antennas as fit, and at least one
+_TERMS = 1 << 17
+# worker threads of the synthesis, built on the first patch of more than
+# one block; a forked child has none of them and builds its own
 _pool = None
+# one anonymous map per participant, holding its phase and product
+# buffers; reused across blocks and patches until release_buffers
+_buffers: list[mmap.mmap] = []
 
 
-def _forget_pool() -> None:
+def _forget_in_child() -> None:
     global _pool
     _pool = None
+    _buffers.clear()
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+os.register_at_fork(after_in_child=_forget_in_child)
 
 
-def _sum_blocks(samples, starts, lock, pix, values, d_tx, rx_pos, k_runs) -> None:
-    """Fill ``samples`` for each antenna block taken from ``starts`` until none is left.
+def release_buffers() -> None:
+    """Return the synthesis buffers to the system; the next synthesis maps new ones."""
+    while _buffers:
+        _buffers.pop().close()
+
+
+def _ramp(y: np.ndarray) -> np.ndarray:
+    """exp(-1j * y) along axis 0, for y[0] == 0 and y[n] close to n * y[1].
+
+    Two exponentials per column: with n = a + b * w and w = isqrt(len(y)),
+    exp(-1j * n * h) is exp(-1j * h)**a * exp(-1j * w * h)**b, for h = y[1]
+    rounded (Veltkamp) to as few bits that n * h is exact for every n. The
+    residue e = y[n] - n * h (about 1e-11) is exact too (Sterbenz) and is
+    applied as 1 - 1j * e.
+    """
+    count = len(y)
+    if count == 1:
+        return np.ones(y.shape, dtype=complex)
+    scaled = y[1] * (2.0 ** (count - 1).bit_length() + 1.0)
+    h = scaled - (scaled - y[1])
+    w = math.isqrt(count)
+    ramps = np.empty((2, -(-count // w)) + y.shape[1:], dtype=complex)
+    ramps[:, 0] = 1.0
+    ramps[0, 1] = np.exp(-1j * h)
+    ramps[1, 1] = np.exp(-1j * (w * h))
+    for b in range(2, ramps.shape[1]):
+        np.multiply(ramps[:, b - 1], ramps[:, 1], out=ramps[:, b])
+    out = ramps[1, :, None] * ramps[0, :w]
+    out = out.reshape(-1, *y.shape[1:])[:count]
+    out *= 1.0 - 1j * (y - np.arange(count).reshape(-1, 1, 1) * h)
+    return out
+
+
+def _sum_blocks(samples, starts, lock, pix, values, d_tx, rx_pos, k_runs, width, octave):
+    """Fill ``samples`` for each block of ``width`` antennas taken from ``starts``.
 
     ``k_runs`` holds the wavenumbers in runs of B = isqrt(M), the last run
     padded; the padded columns are trimmed. The phase theta = k_m * t,
-    t = d_tx + d_rx, is rounded exactly as the direct sum rounds it, then
-    split as q + u + delta: q is theta at its run's first subcarrier,
-    r = theta - q is exact while a run spans less than an octave
-    (Sterbenz), u is r of the first run and delta = r - u (about 1e-10)
-    is exact too. So exp(-i theta) = exp(-i q) exp(-i u) (1 - i delta) up
-    to delta**2 / 2, and each (antenna, pixel) takes 2B exponentials in
-    place of M. Batched ``matmul`` sums over the pixels: each antenna is
-    its own batch element of the same shape, so the bits depend on neither
-    the participant count, ``_BLOCK`` nor the BLAS thread count. These
-    small products stay below OpenBLAS's threading threshold, so no BLAS
-    thread spins on the core another participant needs. Their last bits
-    may depend on the kernel OpenBLAS picks for the CPU.
+    t = d_tx + d_rx, is rounded exactly as the direct sum rounds it and
+    laid out as (run, subcarrier, antenna, pixel), then split as
+    q + u + delta: q is theta at its run's first subcarrier, r = theta - q
+    is exact while the band lies within an octave (Sterbenz), u is r of
+    the first run and delta = r - u (about 1e-10) is exact too. So
+    exp(-i theta) = exp(-i q) exp(-i u) (1 - i delta) up to delta**2 / 2.
+    Within an octave (``octave``) exp(-i q) is exp(-i q_0) times the ramp
+    of q - q_0 and exp(-i u) the ramp of u (``_ramp``): 5 exponentials per
+    (antenna, pixel). Across octaves the differences are rounded, and the
+    2B exponentials are taken directly. Batched ``matmul`` sums over the
+    pixels: each antenna is its own batch element of the same shape, so
+    the bits depend on neither the participant count, ``_TERMS`` nor the
+    BLAS thread count. These small products stay below OpenBLAS's
+    threading threshold, so no BLAS thread spins on the core another
+    participant needs. Their last bits may depend on the kernel OpenBLAS
+    picks for the CPU.
 
-    Worker threads run this, so it calls no netsar function, which the
-    bench tracer (not thread-safe) may wrap.
+    Each participant takes a buffer from ``_buffers`` (or maps one) for the
+    phases and the delta products, and puts it back when no block is left.
+    Worker threads run this, so it calls no public netsar function, which
+    the bench tracer (not thread-safe) may wrap.
     """
+    runs, run = k_runs.shape
     m = samples.shape[1]
+    size = width * k_runs.size * len(values)
+    with lock:
+        buffer = _buffers.pop() if _buffers else None
+    if buffer is None or len(buffer) < 24 * size:
+        buffer = mmap.mmap(-1, 24 * size, flags=mmap.MAP_PRIVATE)
+    phase = np.frombuffer(buffer, dtype=float, count=size)
+    product = np.frombuffer(buffer, dtype=complex, count=size, offset=8 * size)
     while True:
         with lock:
             start = next(starts, None)
         if start is None:
-            return
-        rows = slice(start, start + _BLOCK)
+            break
+        rows = slice(start, start + width)
         d_rx = np.linalg.norm(pix[None, :, :] - rx_pos[rows, None, :], axis=2)
         amp = values / (d_tx * d_rx)
-        theta = (d_tx + d_rx)[:, :, None, None] * k_runs  # (l, p, run, s)
+        shape = (runs, run) + amp.shape
+        theta = phase[: math.prod(shape)].reshape(shape)
+        np.multiply(k_runs[:, :, None, None], d_tx + d_rx, out=theta)
         # q and u are copied out before theta becomes r, then delta, in
         # place: an operand that overlaps its output makes numpy copy slowly
-        q = theta[:, :, :, :1].copy()
-        w = (amp[:, :, None] * np.exp(-1j * q[:, :, :, 0])).transpose(0, 2, 1)
-        theta -= q
-        u = theta[:, :, :1].copy()
-        eu = np.exp(-1j * u[:, :, 0])
+        q = theta[:, 0].copy()
+        theta -= q[:, None]
+        u = theta[0].copy()
         theta -= u
-        # one zgemm per antenna, one vector-matrix product per (antenna, run)
-        corr = w[:, :, None, :] @ (theta * eu[:, :, None, :]).transpose(0, 2, 1, 3)
-        sums = w @ eu - 1j * corr[:, :, 0]
+        if octave:
+            w = amp * np.exp(-1j * q[0]) * _ramp(q - q[0])
+            eu = _ramp(u)
+        else:
+            w = amp * np.exp(-1j * q)
+            eu = np.exp(-1j * u)
+        # one zgemm per antenna, one matrix-vector product per (run, antenna)
+        sums = w.transpose(1, 0, 2) @ eu.transpose(1, 2, 0)
+        corr = np.multiply(theta, eu, out=product[: theta.size].reshape(shape))
+        corr = corr.transpose(0, 2, 1, 3) @ w[..., None]
+        sums -= 1j * corr[..., 0].transpose(1, 0, 2)
         samples[rows] = sums.reshape(len(amp), -1)[:, :m]
+    _buffers.append(buffer)
 
 
 def _antenna_sums(samples, pix, values, tx_pos, rx_pos, k, participants=None) -> None:
@@ -184,8 +246,9 @@ def _antenna_sums(samples, pix, values, tx_pos, rx_pos, k, participants=None) ->
 
     The calling thread and up to ``participants - 1`` pool threads
     (default: one participant per CPU the process may use) take blocks of
-    ``_BLOCK`` antennas in turn. A row is computed the same way whoever
-    takes it, so the samples do not depend on the participant count.
+    as many antennas as ``_TERMS`` allows in turn. A row is computed the
+    same way whoever takes it, so the samples do not depend on the
+    participant count.
     """
     global _pool
     if participants is None:
@@ -193,16 +256,19 @@ def _antenna_sums(samples, pix, values, tx_pos, rx_pos, k, participants=None) ->
             participants = len(os.sched_getaffinity(0))
         else:
             participants = os.cpu_count() or 1
-    blocks = range(0, len(rx_pos), _BLOCK)
+    run = math.isqrt(k.size)
+    k_runs = np.pad(k, (0, -k.size % run), mode="edge").reshape(-1, run)
+    width = max(1, _TERMS // (k_runs.size * len(values)))
+    blocks = range(0, len(rx_pos), width)
     helpers = min(participants, len(blocks)) - 1
     if helpers > 0 and _pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        _pool = ThreadPoolExecutor(max_workers=helpers)
+        _pool = ThreadPoolExecutor(max_workers=participants - 1)
     d_tx = np.linalg.norm(pix - tx_pos[None, :], axis=1)
-    run = math.isqrt(k.size)
-    k_runs = np.pad(k, (0, -k.size % run), mode="edge").reshape(-1, run)
-    args = (samples, iter(blocks), threading.Lock(), pix, values, d_tx, rx_pos, k_runs)
+    octave = bool(k[-1] <= 2.0 * k[0])
+    starts = iter(blocks)
+    args = (samples, starts, threading.Lock(), pix, values, d_tx, rx_pos, k_runs, width, octave)
     futures = [_pool.submit(_sum_blocks, *args) for _ in range(helpers)]
     _sum_blocks(*args)
     for future in futures:

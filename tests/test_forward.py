@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -219,49 +221,119 @@ def test_split_phase_synthesis_matches_the_direct_sum(wf, bound):
 
 
 def test_synthesis_does_not_depend_on_participants_or_block_size(monkeypatch):
-    # 20 antennas: two full blocks of 8 and a short one of 4; 37 subcarriers
-    # leave the last run of isqrt(37) = 6 padded
+    # 20 antennas: at a budget of eight antennas' terms, two full blocks and
+    # a short one of 4; 37 subcarriers leave the last run of isqrt(37) = 6 padded
     scene = _random_scene(3, 9)
     tx, rx = _stations()
     rx = dataclasses.replace(rx, antenna_count=20)
     pix, values = illuminated_pixels(scene, FOOTPRINT)
-    block = forward._BLOCK
+    terms = forward._TERMS
     for wf in (WF, dataclasses.replace(WF, subcarrier_count=37)):
-        monkeypatch.setattr(forward, "_BLOCK", block)
+        monkeypatch.setattr(forward, "_TERMS", terms)
         patch = synthesize_measurement(
             scene, tx, BEAM, rx, wf, region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT
         )
         assert np.any(patch.samples)
         args = (pix, values, tx.position.as_array(), rx.antenna_positions(), wf.wavenumbers())
+        run = math.isqrt(wf.subcarrier_count)
+        per_antenna = values.size * run * -(-wf.subcarrier_count // run)
+        monkeypatch.setattr(forward, "_TERMS", 8 * per_antenna)
         for participants in (1, 2, 3):
             samples = np.zeros_like(patch.samples)
             forward._antenna_sums(samples, *args, participants=participants)
             assert samples.tobytes() == patch.samples.tobytes(), (wf, participants)
-        # one antenna per block gives the same bits as a block of eight
-        monkeypatch.setattr(forward, "_BLOCK", 1)
+        # a budget below one antenna's terms: one antenna per block
+        monkeypatch.setattr(forward, "_TERMS", 1)
         samples = np.zeros_like(patch.samples)
         forward._antenna_sums(samples, *args, participants=1)
         assert samples.tobytes() == patch.samples.tobytes(), wf
 
 
 def test_synthesis_at_the_largest_crowded_block(monkeypatch):
-    # crowded lights up to 56 pixels per patch, on 64 antennas and 256 subcarriers
+    # crowded lights up to 56 pixels per patch, on 64 antennas and 256
+    # subcarriers: the budget takes 9 antennas per block there
     scene = _random_scene(5, 64)
     tx, rx = _stations()
     rx = dataclasses.replace(rx, antenna_count=64)
     wf = dataclasses.replace(WF, subcarrier_count=256)
     pix, values = illuminated_pixels(scene, FOOTPRINT)
     assert values.size >= 56
+    assert forward._TERMS // (values.size * 256) > 1
     expected = _direct_sum(pix, values, tx, rx, wf)
     args = (pix, values, tx.position.as_array(), rx.antenna_positions(), wf.wavenumbers())
     runs = {}
-    for block in (8, 1):
-        monkeypatch.setattr(forward, "_BLOCK", block)
-        runs[block] = np.zeros_like(expected)
-        forward._antenna_sums(runs[block], *args)
+    for terms in (forward._TERMS, 1):
+        monkeypatch.setattr(forward, "_TERMS", terms)
+        runs[terms] = np.zeros_like(expected)
+        forward._antenna_sums(runs[terms], *args)
+    block, single = runs.values()
     scale = np.abs(expected).max()
-    assert np.abs(runs[8] - expected).max() / scale < 1e-14
-    assert runs[1].tobytes() == runs[8].tobytes()
+    assert np.abs(block - expected).max() / scale < 1e-14
+    assert single.tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 16, 37, 256, 300])
+def test_synthesis_matches_the_direct_sum_over_random_geometries(m):
+    rng = np.random.default_rng(m)
+    for octave, bound in ((True, 1e-14), (False, 1e-12)):
+        for _ in range(3):
+            n_pix = int(rng.integers(1, 61))
+            n_ant = int(rng.integers(1, 71))
+            pix = np.column_stack(
+                [rng.uniform(-60, 60, (n_pix, 2)), rng.uniform(0, 5, n_pix)]
+            )
+            values = rng.normal(size=n_pix) + 1j * rng.normal(size=n_pix)
+            tx_pos = np.append(rng.uniform(-800, 800, 2), rng.uniform(10, 60))
+            rx_pos = np.append(rng.uniform(-800, 800, 2), rng.uniform(10, 60))
+            rx_pos = rx_pos + np.outer(np.arange(n_ant), rng.uniform(-0.05, 0.05, 3))
+            if octave or m == 1:
+                # the band ends below twice its first frequency
+                f0 = rng.uniform(1e9, 60e9)
+                spacing = rng.uniform(0.01, 1.0) * f0 / max(m - 1, 1)
+            else:
+                # a few MHz: the band spans more than an octave
+                f0 = rng.uniform(1e6, 5e6)
+                spacing = rng.uniform(1.1, 3.0) * f0
+            k = 2.0 * np.pi * (f0 + np.arange(m) * spacing) / SPEED_OF_LIGHT
+            assert (k[-1] <= 2.0 * k[0]) == (octave or m == 1)
+            d_tx = np.linalg.norm(pix - tx_pos, axis=1)
+            expected = np.empty((n_ant, m), dtype=complex)
+            for l, position in enumerate(rx_pos):
+                d_rx = np.linalg.norm(pix - position, axis=1)
+                expected[l] = np.exp(-1j * np.outer(k, d_tx + d_rx)) @ (values / (d_tx * d_rx))
+            samples = np.zeros_like(expected)
+            forward._antenna_sums(samples, pix, values, tx_pos, rx_pos, k)
+            error = np.abs(samples - expected).max() / np.abs(expected).max()
+            assert error < bound, (octave, n_pix, n_ant, error)
+
+
+def test_the_pool_serves_every_participant_after_a_small_first_patch(monkeypatch):
+    # patches of one and two blocks come first; a later one of three blocks
+    # must still get three participants at once
+    monkeypatch.setattr(forward, "_pool", None)
+    pix = np.array([[1.0, 2.0, 0.0]])
+    values = np.array([1.0 + 0.0j])
+    k = np.linspace(100.0, 101.0, 16)
+    monkeypatch.setattr(forward, "_TERMS", k.size)  # one antenna per block
+    rx = np.array([[0.0, 50.0, 30.0], [0.1, 50.0, 30.0], [0.2, 50.0, 30.0]])
+    tx = np.array([100.0, 0.0, 40.0])
+    for antennas in (1, 2):
+        samples = np.zeros((antennas, 16), complex)
+        forward._antenna_sums(samples, pix, values, tx, rx[:antennas], k, 3)
+    barrier = threading.Barrier(3, timeout=10)
+    sum_blocks = forward._sum_blocks
+
+    def meet(*args):
+        barrier.wait()
+        sum_blocks(*args)
+
+    monkeypatch.setattr(forward, "_sum_blocks", meet)
+    try:
+        samples = np.zeros((3, 16), complex)
+        forward._antenna_sums(samples, pix, values, tx, rx, k, 3)
+    finally:
+        forward._pool.shutdown()
+    assert np.all(samples != 0)
 
 
 def test_synthesis_without_cpu_affinity_gives_the_same_bytes(monkeypatch):
@@ -371,3 +443,60 @@ def test_a_forked_child_synthesizes_after_its_parent_built_the_pool():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.stdout.split() == ["0"]
+
+
+def test_no_synthesis_buffer_outlives_simulate_run(monkeypatch, tmp_path):
+    from netsar.cli import simulate_run
+
+    made = []
+    real_mmap = forward.mmap.mmap
+
+    def mapped(*args, **kwargs):
+        buffer = real_mmap(*args, **kwargs)
+        made.append(weakref.ref(buffer))
+        return buffer
+
+    monkeypatch.setattr(forward.mmap, "mmap", mapped)
+    forward.release_buffers()  # earlier syntheses in this process may have left some
+    cfg = RunConfig(
+        scene=dataclasses.replace(RunConfig().scene, extent_m=200.0),
+        schedule=dataclasses.replace(RunConfig().schedule, slot_count=30),
+    )
+    assert simulate_run(cfg, tmp_path, seed=99) > 0
+    assert made
+    assert forward._buffers == []
+    assert all(ref() is None for ref in made)
+
+
+FORK_WITH_BUFFERS = """
+import os
+import numpy as np
+from netsar import forward
+samples = np.zeros((16, 8), dtype=complex)
+rx = np.stack([np.linspace(0.0, 0.5, 16), np.full(16, 50.0), np.full(16, 30.0)], axis=1)
+forward._antenna_sums(
+    samples, np.array([[1.0, 2.0, 0.0]]), np.array([1.0 + 0.0j]),
+    np.array([100.0, 0.0, 40.0]), rx, np.linspace(100.0, 101.0, 8), 2,
+)
+held = len(forward._buffers)
+pid = os.fork()
+if pid == 0:
+    os._exit(len(forward._buffers))
+print(held, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_no_synthesis_buffer_outlives_a_fork():
+    # the parent keeps its buffers for the next patch; a forked child holds none
+    src = Path(netsar.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", FORK_WITH_BUFFERS],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    held, child = result.stdout.split()
+    assert int(held) >= 1 and child == "0"

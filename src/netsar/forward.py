@@ -151,9 +151,10 @@ def _ramp(y: np.ndarray) -> np.ndarray:
 
     Two exponentials per column: with n = a + b * w and w = isqrt(len(y)),
     exp(-1j * n * h) is exp(-1j * h)**a * exp(-1j * w * h)**b, for h = y[1]
-    rounded (Veltkamp) to as few bits that n * h is exact for every n. The
-    residue e = y[n] - n * h (about 1e-11) is exact too (Sterbenz) and is
-    applied as 1 - 1j * e.
+    rounded (Veltkamp) to few enough bits that n * h is exact for every n.
+    The residue e = y[n] - n * h (about 1e-11) is exact too (Sterbenz) and
+    is applied as 1 - 1j * e. Two phasors keep the powers short: one
+    phasor raised to the 15th power carried twice the rounding error.
     """
     count = len(y)
     if count == 1:

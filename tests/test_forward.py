@@ -190,12 +190,11 @@ def _random_scene(seed, count):
     )
 
 
-def _direct_sum(pix, values, tx, rx, wf):
+def _direct_sum(pix, values, tx_pos, rx_pos, k):
     """Each antenna's exp(-1j*k*(d_tx + d_rx)) sum, one np.exp per sample."""
-    k = wf.wavenumbers()
-    d_tx = np.linalg.norm(pix - tx.position.as_array()[None, :], axis=1)
-    expected = np.zeros((rx.antenna_count, k.size), dtype=complex)
-    for l, position in enumerate(rx.antenna_positions()):
+    d_tx = np.linalg.norm(pix - tx_pos[None, :], axis=1)
+    expected = np.zeros((len(rx_pos), k.size), dtype=complex)
+    for l, position in enumerate(rx_pos):
         d_rx = np.linalg.norm(pix - position[None, :], axis=1)
         expected[l] = np.exp(-1j * np.outer(k, d_tx + d_rx)) @ (values / (d_tx * d_rx))
     return expected
@@ -215,7 +214,12 @@ def test_split_phase_synthesis_matches_the_direct_sum(wf, bound):
     patch = synthesize_measurement(
         scene, tx, BEAM, rx, wf, region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT
     )
-    expected = _direct_sum(*illuminated_pixels(scene, FOOTPRINT), tx, rx, wf)
+    expected = _direct_sum(
+        *illuminated_pixels(scene, FOOTPRINT),
+        tx.position.as_array(),
+        rx.antenna_positions(),
+        wf.wavenumbers(),
+    )
     scale = np.abs(expected).max()
     assert np.abs(patch.samples - expected).max() / scale < bound
 
@@ -259,8 +263,8 @@ def test_synthesis_at_the_largest_crowded_block(monkeypatch):
     pix, values = illuminated_pixels(scene, FOOTPRINT)
     assert values.size >= 56
     assert forward._TERMS // (values.size * 256) > 1
-    expected = _direct_sum(pix, values, tx, rx, wf)
     args = (pix, values, tx.position.as_array(), rx.antenna_positions(), wf.wavenumbers())
+    expected = _direct_sum(*args)
     runs = {}
     for terms in (forward._TERMS, 1):
         monkeypatch.setattr(forward, "_TERMS", terms)
@@ -296,11 +300,7 @@ def test_synthesis_matches_the_direct_sum_over_random_geometries(m):
                 spacing = rng.uniform(1.1, 3.0) * f0
             k = 2.0 * np.pi * (f0 + np.arange(m) * spacing) / SPEED_OF_LIGHT
             assert (k[-1] <= 2.0 * k[0]) == (octave or m == 1)
-            d_tx = np.linalg.norm(pix - tx_pos, axis=1)
-            expected = np.empty((n_ant, m), dtype=complex)
-            for l, position in enumerate(rx_pos):
-                d_rx = np.linalg.norm(pix - position, axis=1)
-                expected[l] = np.exp(-1j * np.outer(k, d_tx + d_rx)) @ (values / (d_tx * d_rx))
+            expected = _direct_sum(pix, values, tx_pos, rx_pos, k)
             samples = np.zeros_like(expected)
             forward._antenna_sums(samples, pix, values, tx_pos, rx_pos, k)
             error = np.abs(samples - expected).max() / np.abs(expected).max()
@@ -367,7 +367,9 @@ def test_synthesis_matches_a_serial_matrix_vector_loop_on_the_survey_geometry():
         pix, values = illuminated_pixels(scene, footprint)
         assert values.size > 0
         # one antenna at a time, contracted by a matrix-vector product
-        expected = _direct_sum(pix, values, tx, rx, wf)
+        expected = _direct_sum(
+            pix, values, tx.position.as_array(), rx.antenna_positions(), wf.wavenumbers()
+        )
         scale = np.abs(expected).max()
         assert np.abs(patch.samples - expected).max() / scale < 1e-14
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,30 +118,20 @@ def illuminated_pixels(
     return np.stack([xs[gx], ys[gy], heights], axis=1), values
 
 
-# (antenna, pixel, subcarrier) terms one pass of ``_sum_blocks`` forms: a
-# block holds as many antennas as fit, and at least one
+# (antenna, pixel, subcarrier) terms one block of ``_antenna_sums`` holds:
+# as many antennas as fit, and at least one
 _TERMS = 1 << 17
-# worker threads of the synthesis, built on the first patch of more than
-# one block; a forked child has none of them and builds its own
-_pool = None
-# one anonymous map per participant, holding its phase and product
-# buffers; reused across blocks and patches until release_buffers
-_buffers: list[mmap.mmap] = []
-
-
-def _forget_in_child() -> None:
-    global _pool
-    _pool = None
-    _buffers.clear()
-
-
-os.register_at_fork(after_in_child=_forget_in_child)
+# one anonymous map holding the phase and delta-product buffers, reused
+# across blocks and patches until release_buffers
+_buffer: mmap.mmap | None = None
 
 
 def release_buffers() -> None:
-    """Return the synthesis buffers to the system; the next synthesis maps new ones."""
-    while _buffers:
-        _buffers.pop().close()
+    """Return the synthesis buffer to the system; the next synthesis maps a new one."""
+    global _buffer
+    if _buffer is not None:
+        _buffer.close()
+        _buffer = None
 
 
 def _ramp(y: np.ndarray) -> np.ndarray:
@@ -174,11 +162,12 @@ def _ramp(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sum_blocks(samples, starts, lock, pix, values, d_tx, rx_pos, k_runs, width, octave):
-    """Fill ``samples`` for each block of ``width`` antennas taken from ``starts``.
+def _antenna_sums(samples, pix, values, tx_pos, rx_pos, k) -> None:
+    """Write each antenna's pixel sum into ``samples``, one row per antenna.
 
-    ``k_runs`` holds the wavenumbers in runs of B = isqrt(M), the last run
-    padded; the padded columns are trimmed. The phase theta = k_m * t,
+    Antennas are taken in blocks of as many as ``_TERMS`` allows. The
+    wavenumbers are laid out in runs of B = isqrt(M), the last run padded;
+    the padded columns are trimmed. The phase theta = k_m * t,
     t = d_tx + d_rx, is rounded exactly as the direct sum rounds it and
     laid out as (run, subcarrier, antenna, pixel), then split as
     q + u + delta: q is theta at its run's first subcarrier, r = theta - q
@@ -190,35 +179,31 @@ def _sum_blocks(samples, starts, lock, pix, values, d_tx, rx_pos, k_runs, width,
     (antenna, pixel). Across octaves the differences are rounded, and the
     2B exponentials are taken directly. Batched ``matmul`` sums over the
     pixels: each antenna is its own batch element of the same shape, so
-    the bits depend on neither the participant count, ``_TERMS`` nor the
-    BLAS thread count. These small products stay below OpenBLAS's
-    threading threshold, so no BLAS thread spins on the core another
-    participant needs. Their last bits may depend on the kernel OpenBLAS
-    picks for the CPU.
+    the bits depend on neither ``_TERMS`` nor the BLAS thread count. These
+    products are too small for OpenBLAS to split among its threads, so it
+    runs them on the calling thread. Their last bits may depend on the
+    kernel OpenBLAS picks for the CPU.
 
-    Each participant takes a buffer from ``_buffers`` (or maps one) for the
-    phases and the delta products, and puts it back when no block is left.
-    Worker threads run this, so it calls no public netsar function, which
-    the bench tracer (not thread-safe) may wrap.
+    The phases and the delta products live in ``_buffer``, which is mapped
+    again only when a block needs more than it holds.
     """
-    runs, run = k_runs.shape
-    m = samples.shape[1]
+    global _buffer
+    run = math.isqrt(k.size)
+    k_runs = np.pad(k, (0, -k.size % run), mode="edge").reshape(-1, run)
+    width = max(1, _TERMS // (k_runs.size * len(values)))
     size = width * k_runs.size * len(values)
-    with lock:
-        buffer = _buffers.pop() if _buffers else None
-    if buffer is None or len(buffer) < 24 * size:
-        buffer = mmap.mmap(-1, 24 * size, flags=mmap.MAP_PRIVATE)
-    phase = np.frombuffer(buffer, dtype=float, count=size)
-    product = np.frombuffer(buffer, dtype=complex, count=size, offset=8 * size)
-    while True:
-        with lock:
-            start = next(starts, None)
-        if start is None:
-            break
+    if _buffer is None or len(_buffer) < 24 * size:
+        _buffer = mmap.mmap(-1, 24 * size, flags=mmap.MAP_PRIVATE)
+    phase = np.frombuffer(_buffer, dtype=float, count=size)
+    product = np.frombuffer(_buffer, dtype=complex, count=size, offset=8 * size)
+    d_tx = np.linalg.norm(pix - tx_pos[None, :], axis=1)
+    octave = bool(k[-1] <= 2.0 * k[0])
+    m = samples.shape[1]
+    for start in range(0, len(rx_pos), width):
         rows = slice(start, start + width)
         d_rx = np.linalg.norm(pix[None, :, :] - rx_pos[rows, None, :], axis=2)
         amp = values / (d_tx * d_rx)
-        shape = (runs, run) + amp.shape
+        shape = k_runs.shape + amp.shape
         theta = phase[: math.prod(shape)].reshape(shape)
         np.multiply(k_runs[:, :, None, None], d_tx + d_rx, out=theta)
         # q and u are copied out before theta becomes r, then delta, in
@@ -239,41 +224,6 @@ def _sum_blocks(samples, starts, lock, pix, values, d_tx, rx_pos, k_runs, width,
         corr = corr.transpose(0, 2, 1, 3) @ w[..., None]
         sums -= 1j * corr[..., 0].transpose(1, 0, 2)
         samples[rows] = sums.reshape(len(amp), -1)[:, :m]
-    _buffers.append(buffer)
-
-
-def _antenna_sums(samples, pix, values, tx_pos, rx_pos, k, participants=None) -> None:
-    """Write each antenna's pixel sum into ``samples``, one row per antenna.
-
-    The calling thread and up to ``participants - 1`` pool threads
-    (default: one participant per CPU the process may use) take blocks of
-    as many antennas as ``_TERMS`` allows in turn. A row is computed the
-    same way whoever takes it, so the samples do not depend on the
-    participant count.
-    """
-    global _pool
-    if participants is None:
-        if hasattr(os, "sched_getaffinity"):
-            participants = len(os.sched_getaffinity(0))
-        else:
-            participants = os.cpu_count() or 1
-    run = math.isqrt(k.size)
-    k_runs = np.pad(k, (0, -k.size % run), mode="edge").reshape(-1, run)
-    width = max(1, _TERMS // (k_runs.size * len(values)))
-    blocks = range(0, len(rx_pos), width)
-    helpers = min(participants, len(blocks)) - 1
-    if helpers > 0 and _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(max_workers=participants - 1)
-    d_tx = np.linalg.norm(pix - tx_pos[None, :], axis=1)
-    octave = bool(k[-1] <= 2.0 * k[0])
-    starts = iter(blocks)
-    args = (samples, starts, threading.Lock(), pix, values, d_tx, rx_pos, k_runs, width, octave)
-    futures = [_pool.submit(_sum_blocks, *args) for _ in range(helpers)]
-    _sum_blocks(*args)
-    for future in futures:
-        future.result()
 
 
 def synthesize_measurement(
@@ -295,10 +245,9 @@ def synthesize_measurement(
     nothing and are skipped); a caller that already classified the
     footprint passes that ``(pixels, values)`` pair as ``illuminated``.
     The region center defaults to the footprint center and anchors all
-    direction/distance metadata. The antennas are summed on every CPU the
-    process may use, with the same bits whatever their number (see
-    ``_antenna_sums``). Optional circular complex Gaussian noise of the
-    given per-sample power is added when noise_power > 0.
+    direction/distance metadata (see ``_antenna_sums`` for the sum).
+    Optional circular complex Gaussian noise of the given per-sample
+    power is added when noise_power > 0.
     """
     if footprint is None:
         footprint = beam_footprint(tx, beam)

@@ -577,6 +577,7 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         capture_output=True,
         text=True,
         check=True,
+        timeout=300,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.stdout.split("\n")[:2] == ["False 1 False", "[]"]

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import weakref
 from pathlib import Path
 
@@ -241,16 +240,13 @@ def test_synthesis_does_not_depend_on_participants_or_block_size(monkeypatch):
         args = (pix, values, tx.position.as_array(), rx.antenna_positions(), wf.wavenumbers())
         run = math.isqrt(wf.subcarrier_count)
         per_antenna = values.size * run * -(-wf.subcarrier_count // run)
-        monkeypatch.setattr(forward, "_TERMS", 8 * per_antenna)
-        for participants in (1, 2, 3):
+        # eight antennas per block, then a budget below one antenna's terms:
+        # one antenna per block
+        for budget in (8 * per_antenna, 1):
+            monkeypatch.setattr(forward, "_TERMS", budget)
             samples = np.zeros_like(patch.samples)
-            forward._antenna_sums(samples, *args, participants=participants)
-            assert samples.tobytes() == patch.samples.tobytes(), (wf, participants)
-        # a budget below one antenna's terms: one antenna per block
-        monkeypatch.setattr(forward, "_TERMS", 1)
-        samples = np.zeros_like(patch.samples)
-        forward._antenna_sums(samples, *args, participants=1)
-        assert samples.tobytes() == patch.samples.tobytes(), wf
+            forward._antenna_sums(samples, *args)
+            assert samples.tobytes() == patch.samples.tobytes(), (wf, budget)
 
 
 def test_synthesis_at_the_largest_crowded_block(monkeypatch):
@@ -307,47 +303,6 @@ def test_synthesis_matches_the_direct_sum_over_random_geometries(m):
             assert error < bound, (octave, n_pix, n_ant, error)
 
 
-def test_the_pool_serves_every_participant_after_a_small_first_patch(monkeypatch):
-    # patches of one and two blocks come first; a later one of three blocks
-    # must still get three participants at once
-    monkeypatch.setattr(forward, "_pool", None)
-    pix = np.array([[1.0, 2.0, 0.0]])
-    values = np.array([1.0 + 0.0j])
-    k = np.linspace(100.0, 101.0, 16)
-    monkeypatch.setattr(forward, "_TERMS", k.size)  # one antenna per block
-    rx = np.array([[0.0, 50.0, 30.0], [0.1, 50.0, 30.0], [0.2, 50.0, 30.0]])
-    tx = np.array([100.0, 0.0, 40.0])
-    for antennas in (1, 2):
-        samples = np.zeros((antennas, 16), complex)
-        forward._antenna_sums(samples, pix, values, tx, rx[:antennas], k, 3)
-    barrier = threading.Barrier(3, timeout=10)
-    sum_blocks = forward._sum_blocks
-
-    def meet(*args):
-        barrier.wait()
-        sum_blocks(*args)
-
-    monkeypatch.setattr(forward, "_sum_blocks", meet)
-    try:
-        samples = np.zeros((3, 16), complex)
-        forward._antenna_sums(samples, pix, values, tx, rx, k, 3)
-    finally:
-        forward._pool.shutdown()
-    assert np.all(samples != 0)
-
-
-def test_synthesis_without_cpu_affinity_gives_the_same_bytes(monkeypatch):
-    # os.sched_getaffinity is Linux-only; elsewhere the CPU count is used
-    scene = _random_scene(3, 9)
-    tx, rx = _stations()
-    rx = dataclasses.replace(rx, antenna_count=20)
-    kwargs = dict(region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT)
-    before = synthesize_measurement(scene, tx, BEAM, rx, WF, **kwargs)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    after = synthesize_measurement(scene, tx, BEAM, rx, WF, **kwargs)
-    assert after.samples.tobytes() == before.samples.tobytes()
-
-
 def test_synthesis_matches_a_serial_matrix_vector_loop_on_the_survey_geometry():
     # the default config: 64 antennas, 256 subcarriers, 400 m scene
     cfg = RunConfig()
@@ -402,13 +357,14 @@ def test_samples_depend_on_neither_blas_threads_nor_cpu_count(tmp_path):
             capture_output=True,
             text=True,
             check=True,
+            timeout=300,
             env=env,
         )
         runs[blas_threads, cpus] = result.stdout.split()
     # the same samples.npy bytes in every run
     assert len({digest for _, digest in runs.values()}) == 1, runs
-    # with a single CPU the synthesis starts no thread
-    assert runs["2", "one_cpu"][0] == "1"
+    # the synthesis starts no thread, whatever the CPU count
+    assert all(threads == "1" for threads, _ in runs.values()), runs
 
 
 FORK_AFTER_SYNTHESIS = """
@@ -421,12 +377,12 @@ rx = np.stack([np.linspace(0.0, 0.5, 16), np.full(16, 50.0), np.full(16, 30.0)],
 k = np.linspace(100.0, 101.0, 8)
 def sums():
     samples = np.zeros((16, 8), dtype=complex)
-    forward._antenna_sums(samples, pix, values, np.array([100.0, 0.0, 40.0]), rx, k, 2)
+    forward._antenna_sums(samples, pix, values, np.array([100.0, 0.0, 40.0]), rx, k)
     return samples
 parent = sums()
 pid = os.fork()
 if pid == 0:
-    signal.alarm(30)  # a child left waiting for a thread it lacks ends here
+    signal.alarm(30)  # a hung child ends here
     os._exit(0 if sums().tobytes() == parent.tobytes() else 1)
 print(os.waitpid(pid, 0)[1])
 """
@@ -434,7 +390,7 @@ print(os.waitpid(pid, 0)[1])
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_a_forked_child_synthesizes_after_its_parent_built_the_pool():
-    # the child inherits no pool thread: it must not wait for one
+    # the child reuses its copy of the parent's buffer map
     src = Path(netsar.__file__).resolve().parents[1]
     result = subprocess.run(
         [sys.executable, "-c", FORK_AFTER_SYNTHESIS],
@@ -459,46 +415,12 @@ def test_no_synthesis_buffer_outlives_simulate_run(monkeypatch, tmp_path):
         return buffer
 
     monkeypatch.setattr(forward.mmap, "mmap", mapped)
-    forward.release_buffers()  # earlier syntheses in this process may have left some
+    forward.release_buffers()  # an earlier synthesis in this process may have left it
     cfg = RunConfig(
         scene=dataclasses.replace(RunConfig().scene, extent_m=200.0),
         schedule=dataclasses.replace(RunConfig().schedule, slot_count=30),
     )
     assert simulate_run(cfg, tmp_path, seed=99) > 0
     assert made
-    assert forward._buffers == []
+    assert forward._buffer is None
     assert all(ref() is None for ref in made)
-
-
-FORK_WITH_BUFFERS = """
-import os
-import numpy as np
-from netsar import forward
-samples = np.zeros((16, 8), dtype=complex)
-rx = np.stack([np.linspace(0.0, 0.5, 16), np.full(16, 50.0), np.full(16, 30.0)], axis=1)
-forward._antenna_sums(
-    samples, np.array([[1.0, 2.0, 0.0]]), np.array([1.0 + 0.0j]),
-    np.array([100.0, 0.0, 40.0]), rx, np.linspace(100.0, 101.0, 8), 2,
-)
-held = len(forward._buffers)
-pid = os.fork()
-if pid == 0:
-    os._exit(len(forward._buffers))
-print(held, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_no_synthesis_buffer_outlives_a_fork():
-    # the parent keeps its buffers for the next patch; a forked child holds none
-    src = Path(netsar.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-c", FORK_WITH_BUFFERS],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    held, child = result.stdout.split()
-    assert int(held) >= 1 and child == "0"

@@ -43,7 +43,6 @@ from .errors import (
     EmptyFootprintError,
     InvalidBeamError,
     NetsarError,
-    UnknownAlgorithmError,
 )
 from .forward import illuminated_pixels, release_buffers, synthesize_measurement
 from .geometry import BeamSpec, beam_footprint
@@ -364,12 +363,17 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
 
 
 def analyze_run(cfg: RunConfig, subcommand: str, out: Path, seed: int, args) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+    """Run slice-check or tradeoff; a refused input leaves no output directory."""
     if subcommand == "slice-check":
-        rng = np.random.default_rng(seed)
         size = args.size
+        if size < 1:
+            raise ConfigError(f"--size {size}: must be >= 1")
+        if not math.isfinite(args.angle):
+            raise ConfigError(f"--angle {args.angle}: must be finite")
+        rng = np.random.default_rng(seed)
         image = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         slc, proj, err = projection_slice_check(image, args.angle)
+        out.mkdir(parents=True, exist_ok=True)
         write_table(
             out / "slice.csv",
             ["index", "slice_re", "slice_im", "projection_re", "projection_im"],
@@ -379,18 +383,19 @@ def analyze_run(cfg: RunConfig, subcommand: str, out: Path, seed: int, args) -> 
             ],
         )
         print(f"slice-check angle={args.angle} relative error {err:.3e}")
-    elif subcommand == "tradeoff":
-        channel = (
-            channel_from_csv(args.channel) if args.channel else example_channel()
-        )
+    else:  # tradeoff, the one other subcommand argparse admits
+        try:
+            channel = channel_from_csv(args.channel) if args.channel else example_channel()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"--channel: cannot read {args.channel}: {reason}") from None
         terms = information_terms(channel)
         print(terms_table(terms))
         print(f"gaussian_sum_bound(3) = {gaussian_sum_bound(3.0)!r}")
+        out.mkdir(parents=True, exist_ok=True)
         write_table(
             out / "tradeoff.csv", ["term", "bits"], [[k, float(v)] for k, v in terms.items()]
         )
-    else:
-        raise UnknownAlgorithmError(f"unknown analyze subcommand {subcommand!r}")
     write_manifest(out, cfg, seed, [f"analyze = {subcommand}"])
 
 
@@ -434,6 +439,8 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed {args.seed}: must be nonnegative")
     config = args.config
     if config is None and args.command == "reconstruct":
         # a dataset records the config it was simulated with

@@ -90,6 +90,7 @@ def _validate(cfg: RunConfig) -> None:
     _require(s.extent_m > 0, "scene.extent_m", "must be positive")
     _require(s.resolution_m > 0, "scene.resolution_m", "must be positive")
     _require(s.reflector_count >= 0, "scene.reflector_count", "must be nonnegative")
+    _require(s.seed >= 0, "scene.seed", "must be nonnegative")
     _require(0 < s.reflector_side_m <= s.extent_m,
              "scene.reflector_side_m", "must be positive and fit the extent")
     _require(n.grid_side >= 1, "network.grid_side", "must be >= 1")
@@ -108,6 +109,7 @@ def _validate(cfg: RunConfig) -> None:
     _require(sch.slot_count >= 0, "schedule.slot_count", "must be nonnegative")
     _require(sch.max_receive_distance_m > 0,
              "schedule.max_receive_distance_m", "must be positive")
+    _require(sch.seed >= 0, "schedule.seed", "must be nonnegative")
     _require(0 < b.open_angle_deg < 180, "beam.open_angle_deg",
              "must lie in (0, 180)")
     _require(b.aim_radius_m >= 0, "beam.aim_radius_m", "must be nonnegative")

@@ -43,7 +43,3 @@ class MissingDatasetError(NetsarError):
 
 class CorruptDatasetError(NetsarError):
     """A dataset's samples disagree with its patch index or are not finite."""
-
-
-class UnknownAlgorithmError(NetsarError):
-    """The requested reconstruction algorithm selector is not recognized."""

@@ -232,8 +232,6 @@ def synthesize_measurement(
     beam: BeamSpec,
     rx: BaseStation,
     wf: WaveformSpec,
-    noise_power: float = 0.0,
-    seed: int | None = None,
     region_center: GroundPoint | None = None,
     footprint: EllipseFootprint | None = None,
     illuminated: tuple[np.ndarray, np.ndarray] | None = None,
@@ -246,8 +244,6 @@ def synthesize_measurement(
     footprint passes that ``(pixels, values)`` pair as ``illuminated``.
     The region center defaults to the footprint center and anchors all
     direction/distance metadata (see ``_antenna_sums`` for the sum).
-    Optional circular complex Gaussian noise of the given per-sample
-    power is added when noise_power > 0.
     """
     if footprint is None:
         footprint = beam_footprint(tx, beam)
@@ -265,12 +261,4 @@ def synthesize_measurement(
     samples = np.zeros((rx.antenna_count, wf.subcarrier_count), dtype=complex)
     if values.size:
         _antenna_sums(samples, pix, values, tx_pos, rx_pos, k)
-
-    if noise_power > 0:
-        rng = np.random.default_rng(seed)
-        sigma = np.sqrt(noise_power / 2.0)
-        samples = samples + sigma * (
-            rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
-        )
-
     return MeasurementPatch(samples, tx, rx, wf, region_center, footprint)

@@ -171,19 +171,9 @@ def beam_footprint(bs: BaseStation, beam: BeamSpec) -> EllipseFootprint:
     )
 
 
-def point_in_footprint(p: GroundPoint, f: EllipseFootprint) -> bool:
-    """True iff p lies inside or on the footprint ellipse."""
-    dx = p.x - f.center.x
-    dy = p.y - f.center.y
-    ca = math.cos(f.major_axis_azimuth)
-    sa = math.sin(f.major_axis_azimuth)
-    u = dx * ca + dy * sa
-    v = -dx * sa + dy * ca
-    return (u / f.semi_major) ** 2 + (v / f.semi_minor) ** 2 <= 1.0
-
-
 def points_in_footprint(xy: np.ndarray, f: EllipseFootprint) -> np.ndarray:
-    """Vectorized footprint membership for an (N, 2) array of ground points."""
+    """True where each of an (N, 2) array of ground points lies inside or
+    on the footprint ellipse."""
     dx = xy[:, 0] - f.center.x
     dy = xy[:, 1] - f.center.y
     ca = math.cos(f.major_axis_azimuth)

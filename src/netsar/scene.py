@@ -24,14 +24,13 @@ class ReflectorSpec:
 
     center: GroundPoint
     side: float
-    magnitude: float = 1.0
     height: float = 0.0
 
     def __post_init__(self):
         if self.side <= 0:
             raise ValueError("reflector side must be positive")
-        if self.magnitude < 0 or self.height < 0:
-            raise ValueError("magnitude and height must be nonnegative")
+        if self.height < 0:
+            raise ValueError("height must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -985,6 +985,26 @@ def test_main_refuses_a_missing_config_file_in_one_line(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize(
+    "command, seed, config_text",
+    [
+        ("simulate", "-1", ""),
+        ("scene", None, "scene.seed = -1\n"),
+        ("simulate", None, "schedule.seed = -5\n"),
+    ],
+    ids=["option", "scene-key", "schedule-key"],
+)
+def test_main_refuses_a_negative_seed_in_one_line(tmp_path, capsys, command, seed, config_text):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(config_text)
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    rc = main(argv + (["--seed", seed] if seed else []))
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert err.startswith("netsar: ConfigError: ") and "seed" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_reconstruct_reads_the_dataset_config(tmp_path, capsys):
     # SMALL differs from the default config (16 antennas, 2x2 grid): the
     # reconstruct step must take it from the dataset's own config.txt
@@ -1016,6 +1036,29 @@ def test_main_analyze_tradeoff_rejects_an_empty_channel_file(tmp_path, capsys):
     rc = main(["analyze", "tradeoff", "--channel", str(channel), "--out", str(tmp_path / "ana")])
     assert rc != 0
     assert capsys.readouterr().err.startswith(f"netsar: {InvalidDistributionError.__name__}: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["slice-check", "--size", "0"],
+        ["slice-check", "--size", "-3"],
+        ["slice-check", "--angle", "nan"],
+        ["slice-check", "--angle", "inf"],
+        ["tradeoff", "--channel", "missing.csv"],
+        ["tradeoff", "--channel", "latin1.csv"],
+    ],
+    ids=["size-0", "size-negative", "angle-nan", "angle-inf", "channel-missing", "channel-not-utf8"],
+)
+def test_main_analyze_refuses_a_bad_input_in_one_line(tmp_path, capsys, args):
+    (tmp_path / "latin1.csv").write_bytes(b"section,index,values\np_x,,0.5\xff\n")
+    out = tmp_path / "ana"
+    args = [str(tmp_path / a) if a.endswith(".csv") else a for a in args]
+    rc = main(["analyze", *args, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert err.startswith(f"netsar: ConfigError: {args[1]}")
+    assert not out.exists()
 
 
 def test_main_analyze_slice_check(tmp_path, capsys):

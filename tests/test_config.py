@@ -53,6 +53,13 @@ def test_validation_names_offending_field():
         RunConfig(reconstruction=ReconstructionConfig(algorithm="3d"))
 
 
+def test_a_negative_seed_is_refused():
+    with pytest.raises(ConfigError, match="scene.seed: must be nonnegative"):
+        RunConfig(scene=SceneConfig(seed=-1))
+    with pytest.raises(ConfigError, match="schedule.seed: must be nonnegative"):
+        parse_config("schedule.seed = -5\n")
+
+
 def test_parse_errors_name_the_line():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("not an assignment")

@@ -146,19 +146,6 @@ def test_forward_empty_footprint_raises():
         synthesize_measurement(scene, tx, BEAM, rx, WF, footprint=far)
 
 
-def test_forward_noise_deterministic_and_scaled():
-    scene = _sparse_scene([((1.0, -2.0), 1.0 + 0.0j)])
-    tx, rx = _stations()
-    kwargs = dict(region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT)
-    clean = synthesize_measurement(scene, tx, BEAM, rx, WF, **kwargs)
-    noisy1 = synthesize_measurement(scene, tx, BEAM, rx, WF, noise_power=1e-8, seed=5, **kwargs)
-    noisy2 = synthesize_measurement(scene, tx, BEAM, rx, WF, noise_power=1e-8, seed=5, **kwargs)
-    assert np.array_equal(noisy1.samples, noisy2.samples)
-    delta = noisy1.samples - clean.samples
-    power = np.mean(np.abs(delta) ** 2)
-    assert 0.3e-8 < power < 3e-8
-
-
 def test_patch_derives_geometry_from_its_stations():
     tx, rx = _stations()
     samples = np.zeros((rx.antenna_count, WF.subcarrier_count), dtype=complex)

@@ -12,7 +12,6 @@ from netsar.geometry import (
     RotatedFrame,
     beam_footprint,
     bistatic_look,
-    point_in_footprint,
     points_in_footprint,
 )
 
@@ -92,12 +91,12 @@ def test_tilted_footprint_center_and_eccentricity():
     expected_a = 0.5 * h * (math.tan(phi + theta / 2) - math.tan(phi - theta / 2))
     assert math.isclose(fp.semi_major, expected_a)
     assert math.isclose(fp.semi_minor, expected_a * math.sqrt(1 - fp.eccentricity**2))
-    assert point_in_footprint(fp.center, fp)
-    beyond = GroundPoint(fp.center.x + fp.semi_major + 0.1, 0.0)
-    assert not point_in_footprint(beyond, fp)
+    beyond = (fp.center.x + fp.semi_major + 0.1, 0.0)
+    inside = points_in_footprint(np.array([fp.center.horizontal(), beyond]), fp)
+    assert inside.tolist() == [True, False]
 
 
-def test_points_in_footprint_matches_scalar():
+def test_points_in_footprint_matches_the_parametric_boundary():
     bs = BaseStation(position=GroundPoint(5.0, -2.0, 80.0))
     beam = BeamSpec(
         open_angle=math.radians(12),
@@ -105,11 +104,14 @@ def test_points_in_footprint_matches_scalar():
         planar_angle=1.1,
     )
     fp = beam_footprint(bs, beam)
-    rng = np.random.default_rng(0)
-    xy = rng.uniform(-120, 120, size=(200, 2))
-    vec = points_in_footprint(xy, fp)
-    scalar = [point_in_footprint(GroundPoint(x, y), fp) for x, y in xy]
-    assert np.array_equal(vec, np.array(scalar))
+    # (a cos t, b sin t) rotated by the major axis azimuth traces the boundary
+    t = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
+    u, v = fp.semi_major * np.cos(t), fp.semi_minor * np.sin(t)
+    ca, sa = math.cos(fp.major_axis_azimuth), math.sin(fp.major_axis_azimuth)
+    boundary = np.stack([u * ca - v * sa, u * sa + v * ca], axis=1)
+    center = fp.center.horizontal()
+    assert points_in_footprint(center + 0.99 * boundary, fp).all()
+    assert not points_in_footprint(center + 1.01 * boundary, fp).any()
 
 
 @given(st.floats(0, 2 * math.pi), st.lists(finite, min_size=2, max_size=2))

@@ -21,7 +21,7 @@ def test_reflector_spec_validation():
     with pytest.raises(ValueError):
         ReflectorSpec(center=GroundPoint(0, 0), side=-1.0)
     with pytest.raises(ValueError):
-        ReflectorSpec(center=GroundPoint(0, 0), side=1.0, magnitude=-0.5)
+        ReflectorSpec(center=GroundPoint(0, 0), side=1.0, height=-0.5)
 
 
 def test_scene_shape_checked():

@@ -100,8 +100,11 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     and keeps each recorded patch's row and synthesis inputs. Then the
     patches are synthesized in complex128 one at a time, each stored in
     samples.npy as complex64 and hashed as it is written, so no more than
-    one patch's samples are held at once.
+    one patch's samples are held at once. A negative seed raises
+    ConfigError before out is created.
     """
+    if seed < 0:
+        raise ConfigError(f"seed {seed}: must be nonnegative")
     out.mkdir(parents=True, exist_ok=True)
     scene = build_scene(cfg)
     stations = build_network(cfg)
@@ -232,12 +235,15 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
     Out is created, and the artifacts written, only after the last row,
     once samples.npy has matched its checksum, so a refused dataset
     leaves no output directory. An out that resolves to the dataset
-    directory raises ConfigError before anything is read or written.
+    directory, or names an existing file, raises ConfigError before
+    anything is read or written.
     """
     if out.resolve() == dataset.resolve():
         raise ConfigError(
             f"output directory {out} is the dataset {dataset}; write the reconstruction elsewhere"
         )
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output directory {out} is an existing file")
     data = open_dataset(cfg, dataset)
     rcfg = cfg.reconstruction
     report = _report_header(cfg, len(data))
@@ -449,6 +455,8 @@ def _run(args) -> int:
     cfg = load_config(config) if config else RunConfig()
     seed = args.seed if args.seed is not None else cfg.schedule.seed
     out = args.out if args.out is not None else Path(cfg.output_dir)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output directory {out} is an existing file")
 
     if args.command == "simulate":
         count = simulate_run(cfg, out, seed)

@@ -139,19 +139,6 @@ _SECTIONS = {
 _TYPES = {"int": int, "float": float, "str": str}
 
 
-def _coerce(raw: str, target_type, name: str):
-    try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        if target_type is str:
-            return raw
-    except ValueError as exc:
-        raise ConfigError(f"{name}: cannot parse {raw!r} as {target_type.__name__}") from exc
-    raise ConfigError(f"{name}: unsupported field type {target_type}")
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse flat ``section.key = value`` text into a validated RunConfig.
 
@@ -183,8 +170,10 @@ def parse_config(text: str) -> RunConfig:
         hints = {f.name: f.type for f in fields(_SECTIONS[section])}
         if name not in hints:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        hint = hints[name]
-        values[section][name] = _coerce(raw, _TYPES.get(hint, hint), key)
+        try:
+            values[section][name] = _TYPES[hints[name]](raw)
+        except ValueError:
+            raise ConfigError(f"{key}: cannot parse {raw!r} as {hints[name]}") from None
     kwargs = {sect: cls(**values[sect]) for sect, cls in _SECTIONS.items()}
     kwargs.update(top)
     return RunConfig(**kwargs)

@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netsar.analysis import (
-    OneDimModel,
     loglog_slope,
     mse_monte_carlo,
     projection_slice_check,
-    reconstruct_1d,
     resolutions,
     sidelobe_statistics,
     statistics_to_csv,
@@ -49,34 +47,46 @@ def test_resolution_formulas():
         resolutions(WF, aperture=-1.0, distance=100.0, antenna_count=64)
 
 
-def test_single_full_window_reconstructs_exactly():
-    rng = np.random.default_rng(3)
-    g = rng.normal(size=64) + 1j * rng.normal(size=64)
-    model = OneDimModel(image=g, window_width=32, window_centers=(10.0,))
-    est, per = reconstruct_1d(model)
-    assert len(per) == 1
-    # one window of width P reconstructs g exactly
-    full = OneDimModel(image=g, window_width=64 // 2, window_centers=(0.0,))
-    assert est.shape == g.shape
-    # half-integer centers avoid distance ties at the window edges, so
-    # the two width-32 windows tile the spectrum exactly
-    model_all = OneDimModel(image=g, window_width=32, window_centers=(15.5, 47.5))
-    est_all, _ = reconstruct_1d(model_all)
-    assert np.abs(est_all - g).max() < 1e-10
+def _superposed_mse_rows(P, window_width, n_windows, trials, seed):
+    """The 1-D window model by its definition: each window keeps the
+    ``window_width`` spectrum bins nearest its circular center, each is
+    inverse-transformed on its own, and the estimate is their sum. Draws
+    the scenes and centers as mse_monte_carlo does."""
+    root = np.random.SeedSequence(seed)
+    bins = np.arange(P)
+    rows = []
+    for N in n_windows:
+        for t in range(trials):
+            rng = np.random.default_rng(root.spawn(1)[0])
+            g = np.zeros(P, dtype=complex)
+            spikes = rng.integers(0, P, size=4)
+            g[spikes] = rng.normal(size=4) + 1j * rng.normal(size=4)
+            G = np.fft.fft(g)
+            est = np.zeros(P, dtype=complex)
+            for c in rng.uniform(0.0, P, size=N):
+                dist = np.abs((bins - c + P / 2) % P - P / 2)
+                window = np.zeros(P)
+                window[np.argsort(dist, kind="stable")[:window_width]] = 1.0
+                est += np.fft.ifft(G * window)
+            error = est / np.linalg.norm(est) - g / np.linalg.norm(g)
+            rows.append((N, t, float(np.sum(np.abs(error) ** 2))))
+    return rows
 
 
-def test_overlapping_windows_warn():
-    g = np.ones(32, complex)
-    model = OneDimModel(image=g, window_width=16, window_centers=(0.0, 1.0))
-    with pytest.warns(UserWarning, match="overlap"):
-        reconstruct_1d(model)
+@pytest.mark.parametrize("P, window_width", [(256, 128), (64, 16), (33, 5)])
+def test_mse_monte_carlo_equals_the_per_window_superposition(P, window_width):
+    args = dict(P=P, window_width=window_width, n_windows=[1, 4, 16, 64], trials=10, seed=11)
+    rows = mse_monte_carlo(**args)
+    expected = _superposed_mse_rows(**args)
+    assert [r[:2] for r in rows] == [r[:2] for r in expected]
+    mse, ref = np.array([r[2] for r in rows]), np.array([r[2] for r in expected])
+    assert np.all(np.abs(mse - ref) <= 1e-12 * ref)
 
 
-def test_model_validation():
-    with pytest.raises(ValueError):
-        OneDimModel(image=np.ones(8), window_width=0, window_centers=())
-    with pytest.raises(ValueError):
-        OneDimModel(image=np.ones(8), window_width=5, window_centers=())
+@pytest.mark.parametrize("P, window_width", [(8, 0), (8, 5), (255, 128)])
+def test_mse_monte_carlo_refuses_a_window_that_does_not_fit(P, window_width):
+    with pytest.raises(ValueError, match="window_width"):
+        mse_monte_carlo(P=P, window_width=window_width, n_windows=[4], trials=1, seed=0)
 
 
 def test_sidelobe_statistics_uniform_phase():

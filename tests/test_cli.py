@@ -1005,6 +1005,41 @@ def test_main_refuses_a_negative_seed_in_one_line(tmp_path, capsys, command, see
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_run_refuses_a_negative_seed_before_making_out(tmp_path):
+    out = tmp_path / "neg"
+    with pytest.raises(ConfigError, match="seed -1: must be nonnegative"):
+        simulate_run(SMALL, out, -1)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "scene", "analyze", "reconstruct"])
+def test_main_refuses_an_out_that_is_a_file_in_one_line(
+    small_dataset, tmp_path, capsys, monkeypatch, command
+):
+    def no_read(*args):
+        raise AssertionError("the dataset was opened")
+
+    monkeypatch.setattr(netsar.cli, "open_dataset", no_read)
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept\n")
+    cfg_path = tmp_path / "run.cfg"
+    save_config(SMALL, cfg_path)
+    args = {
+        "simulate": ["--config", str(cfg_path)],
+        "scene": ["--config", str(cfg_path)],
+        "analyze": ["tradeoff", "--config", str(cfg_path)],
+        "reconstruct": ["--dataset", str(small_dataset)],
+    }[command]
+    rc = main([command, *args, "--out", str(afile)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert err == f"netsar: ConfigError: output directory {afile} is an existing file\n"
+    assert afile.read_bytes() == b"kept\n"
+    if command == "reconstruct":
+        with pytest.raises(ConfigError, match="is an existing file"):
+            reconstruct_run(SMALL, small_dataset, afile, seed=7)
+
+
 def test_main_reconstruct_reads_the_dataset_config(tmp_path, capsys):
     # SMALL differs from the default config (16 antennas, 2x2 grid): the
     # reconstruct step must take it from the dataset's own config.txt

@@ -58,13 +58,7 @@ from .reconstruct import (
     range_profiles,
 )
 from .scene import Scene, random_reflector_scene, scene_from_csv, scene_to_csv
-from .tradeoff import (
-    channel_from_csv,
-    example_channel,
-    gaussian_sum_bound,
-    information_terms,
-    terms_table,
-)
+from .tradeoff import example_channel, gaussian_sum_bound, information_terms, terms_table
 
 
 # ------------------------------------------------------------------ scene
@@ -179,11 +173,20 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     release_buffers()
     extra += [f"patch_count = {len(rows)}"]
     extra += [f"skipped.{reason} = {n}" for reason, n in sorted(skipped.items())]
-    write_manifest(out, cfg, seed, extra)
+    names = ["scene.csv", "scene.pgm", "config.txt", "patches.csv", "samples.npy"]
+    write_manifest(out, cfg, seed, extra, names)
     return len(rows)
 
 
 # ------------------------------------------------------------ reconstruct
+
+
+def _refuse_a_file_out(out: Path) -> None:
+    """Raise ConfigError if out, or its nearest existing ancestor, is not a directory."""
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        where = "an existing file" if existing == out else f"below the existing file {existing}"
+        raise ConfigError(f"output directory {out} is {where}")
 
 
 def _report_header(cfg: RunConfig, n_patches: int) -> list[str]:
@@ -235,20 +238,19 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
     Out is created, and the artifacts written, only after the last row,
     once samples.npy has matched its checksum, so a refused dataset
     leaves no output directory. An out that resolves to the dataset
-    directory, or names an existing file, raises ConfigError before
-    anything is read or written.
+    directory, or is or lies below an existing file, raises ConfigError
+    before anything is read or written.
     """
     if out.resolve() == dataset.resolve():
         raise ConfigError(
             f"output directory {out} is the dataset {dataset}; write the reconstruction elsewhere"
         )
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"output directory {out} is an existing file")
+    _refuse_a_file_out(out)
     data = open_dataset(cfg, dataset)
     rcfg = cfg.reconstruction
     report = _report_header(cfg, len(data))
     algorithm = rcfg.algorithm
-    writes = []  # each artifact's writer, called once samples.npy is verified
+    writes = []  # (artifact names, writer), each called once samples.npy is verified
 
     if algorithm == "intersect":
         profiles = [range_profiles(align_and_place(p), threshold_db=12.0) for p in data]
@@ -261,7 +263,7 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
             max_offset=0.45 * window,
             pair_max_separation=0.9 * window,
         )
-        writes.append(partial(
+        writes.append((["estimates.csv"], partial(
             write_table,
             out / "estimates.csv",
             ["x", "y", "score", "supporting_lines"],
@@ -269,7 +271,7 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
                 [e.position.x, e.position.y, e.score, e.supporting_lines]
                 for e in estimates
             ],
-        ))
+        )))
         report += [
             f"estimates = {len(estimates)}",
             f"intersections = {diag.intersections}",
@@ -283,7 +285,7 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
             spacing=rcfg.pixel_spacing_m,
             method=rcfg.fusion_method,
         )
-        writes.append(partial(write_pgm, fused.magnitude, out / "fused.pgm"))
+        writes.append((["fused.pgm"], partial(write_pgm, fused.magnitude, out / "fused.pgm")))
         report.append(f"fused_pixels = {fused.magnitude.shape}")
     elif algorithm == "procedure1":
         group = data.patches(_largest_beam_group(data.footprints))
@@ -295,7 +297,9 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         S = 512
         pixel_extent = 0.9 * S * 2.0 * np.pi / k_max
         image = procedure1_invert(aligned, S, pixel_extent)
-        writes.append(partial(write_pgm, image.magnitude, out / "procedure1.pgm"))
+        writes.append(
+            (["procedure1.pgm"], partial(write_pgm, image.magnitude, out / "procedure1.pgm"))
+        )
         report += [
             f"procedure1_patches = {len(aligned)}",
             f"pixel_extent_m = {pixel_extent!r}",
@@ -323,11 +327,11 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         rows = []
         for ix, iy in zip(*np.nonzero(valid)):
             rows.append([int(ix), int(iy), float(est[ix, iy]), float(height[ix, iy])])
-        writes.append(partial(
+        writes.append((["height.csv"], partial(
             write_table, out / "height.csv", ["x_index", "y_index", "estimate", "truth"], rows
-        ))
+        )))
         filled = np.where(valid, est, 0.0)
-        writes.append(partial(write_pgm, filled, out / "height.pgm"))
+        writes.append((["height.pgm"], partial(write_pgm, filled, out / "height.pgm")))
         report.append(f"height_pixels = {int(valid.sum())}")
     elif algorithm == "isar":
         group = list(data.patches(_largest_beam_group(data.footprints)))
@@ -341,8 +345,9 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
             warnings.simplefilter("always")
             # aligned samples carry exp(+j k . p): negate k for the e^{-j} model
             voxels, rank = solve_voxel_grid(-kvecs, values, grid)
-        writes.append(partial(voxel_grid_to_csv, voxels, out / "voxels.csv"))
-        writes.append(partial(voxel_grid_slices_to_pgm, voxels, out))
+        writes.append((["voxels.csv"], partial(voxel_grid_to_csv, voxels, out / "voxels.csv")))
+        slices = [f"voxels_{n:03d}.pgm" for n in range(grid.M_side)]
+        writes.append((slices, partial(voxel_grid_slices_to_pgm, voxels, out)))
         # the solve's last bits depend on how BLAS splits it across threads
         blas_threads = (
             os.environ.get("OPENBLAS_NUM_THREADS")
@@ -357,31 +362,38 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         report += [f"isar_warning = {w.message}" for w in caught]
 
     out.mkdir(parents=True, exist_ok=True)
-    for write in writes:
+    names = ["report.txt"]
+    for written, write in writes:
         write()
+        names += written
     (out / "report.txt").write_text("\n".join(report) + "\n")
     write_manifest(
-        out, cfg, seed, [f"dataset_manifest = {_sha256(dataset / 'manifest.txt')}"]
+        out, cfg, seed, [f"dataset_manifest = {_sha256(dataset / 'manifest.txt')}"], names
     )
 
 
 # ---------------------------------------------------------------- analyze
+
+# the projection side of slice-check builds a size x size**2 complex matrix:
+# 635 MB of peak RSS at 256, about 5 GB at 512
+_MAX_SLICE_SIZE = 256
 
 
 def analyze_run(cfg: RunConfig, subcommand: str, out: Path, seed: int, args) -> None:
     """Run slice-check or tradeoff; a refused input leaves no output directory."""
     if subcommand == "slice-check":
         size = args.size
-        if size < 1:
-            raise ConfigError(f"--size {size}: must be >= 1")
+        if not 1 <= size <= _MAX_SLICE_SIZE:
+            raise ConfigError(f"--size {size}: must be in 1..{_MAX_SLICE_SIZE}")
         if not math.isfinite(args.angle):
             raise ConfigError(f"--angle {args.angle}: must be finite")
         rng = np.random.default_rng(seed)
         image = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         slc, proj, err = projection_slice_check(image, args.angle)
         out.mkdir(parents=True, exist_ok=True)
+        name = "slice.csv"
         write_table(
-            out / "slice.csv",
+            out / name,
             ["index", "slice_re", "slice_im", "projection_re", "projection_im"],
             [
                 [i, float(a.real), float(a.imag), float(b.real), float(b.imag)]
@@ -390,19 +402,13 @@ def analyze_run(cfg: RunConfig, subcommand: str, out: Path, seed: int, args) -> 
         )
         print(f"slice-check angle={args.angle} relative error {err:.3e}")
     else:  # tradeoff, the one other subcommand argparse admits
-        try:
-            channel = channel_from_csv(args.channel) if args.channel else example_channel()
-        except (OSError, UnicodeDecodeError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            raise ConfigError(f"--channel: cannot read {args.channel}: {reason}") from None
-        terms = information_terms(channel)
+        terms = information_terms(example_channel())
         print(terms_table(terms))
         print(f"gaussian_sum_bound(3) = {gaussian_sum_bound(3.0)!r}")
         out.mkdir(parents=True, exist_ok=True)
-        write_table(
-            out / "tradeoff.csv", ["term", "bits"], [[k, float(v)] for k, v in terms.items()]
-        )
-    write_manifest(out, cfg, seed, [f"analyze = {subcommand}"])
+        name = "tradeoff.csv"
+        write_table(out / name, ["term", "bits"], [[k, float(v)] for k, v in terms.items()])
+    write_manifest(out, cfg, seed, [f"analyze = {subcommand}"], [name])
 
 
 # ------------------------------------------------------------------- main
@@ -430,7 +436,6 @@ def main(argv=None) -> int:
     _add_common(p_ana)
     p_ana.add_argument("--angle", type=float, default=0.0)
     p_ana.add_argument("--size", type=int, default=32)
-    p_ana.add_argument("--channel", type=Path, default=None)
 
     p_scn = sub.add_parser("scene", help="generate and export the scene")
     _add_common(p_scn)
@@ -455,8 +460,7 @@ def _run(args) -> int:
     cfg = load_config(config) if config else RunConfig()
     seed = args.seed if args.seed is not None else cfg.schedule.seed
     out = args.out if args.out is not None else Path(cfg.output_dir)
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"output directory {out} is an existing file")
+    _refuse_a_file_out(out)
 
     if args.command == "simulate":
         count = simulate_run(cfg, out, seed)
@@ -471,7 +475,7 @@ def _run(args) -> int:
         scene = build_scene(cfg)
         scene_to_csv(scene, out / "scene.csv")
         write_pgm(np.abs(scene.reflectivity), out / "scene.pgm")
-        write_manifest(out, cfg, seed, ["scene_only = 1"])
+        write_manifest(out, cfg, seed, ["scene_only = 1"], ["scene.csv", "scene.pgm"])
         print(f"wrote scene to {out}")
     return 0
 

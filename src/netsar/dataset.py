@@ -81,12 +81,16 @@ def _config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
 
 
-def write_manifest(out: Path, cfg: RunConfig, seed: int, extra_lines: list[str]) -> None:
-    """key = value manifest with artifact checksums, written last.
+def write_manifest(
+    out: Path, cfg: RunConfig, seed: int, extra_lines: list[str], names: list[str]
+) -> None:
+    """key = value manifest with a checksum of each artifact, written last.
 
-    A ``checksum.<artifact> = <sha256>`` line among extra_lines gives that
-    artifact's checksum, which is then not read back from disk; it is
-    listed with the other checksums, in path order.
+    ``names`` are the files, relative to out, that the run wrote; other
+    files already in out are not listed. A ``checksum.<name> = <sha256>``
+    line among extra_lines gives that artifact's checksum, which is then
+    not read back from disk; it is listed with the other checksums, in
+    name order.
     """
     lines = [f"config_hash = {_config_hash(cfg)}", f"seed = {seed}"]
     known = {}
@@ -96,10 +100,9 @@ def write_manifest(out: Path, cfg: RunConfig, seed: int, extra_lines: list[str])
             known[key] = value
         else:
             lines.append(line)
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != "manifest.txt":
-            key = f"checksum.{path.relative_to(out)}"
-            lines.append(f"{key} = {known.get(key) or _sha256(path)}")
+    for name in sorted(names):
+        key = f"checksum.{name}"
+        lines.append(f"{key} = {known.get(key) or _sha256(out / name)}")
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 

@@ -81,10 +81,10 @@ def bin_spectrum(
 ) -> np.ndarray:
     """Average every aligned sample into a 2S x 2S zero-filled grid.
 
-    Samples bin by nearest-integer index of their ground-plane
-    wavenumber over the step 2*pi / pixel_extent, with index 0 at grid
-    position S; colliding samples are averaged. A sample whose index
-    leaves the grid raises.
+    Samples bin by nearest-integer index i of their ground-plane
+    wavenumber over the step 2*pi / pixel_extent, at grid position
+    i mod 2S (FFT order); colliding samples are averaged. A sample whose
+    index leaves -S..S-1 raises.
     """
     if not patches:
         raise EmptyInputError("at least one aligned patch is required")
@@ -101,7 +101,8 @@ def bin_spectrum(
                 f"sample {where} of patch {patch.tx.station_id}->{patch.rx.station_id} at "
                 f"wavenumber {coords[where]} falls outside the {n}x{n} grid"
             )
-        cells.append((idx[:, 0] + S) * n + idx[:, 1] + S)
+        idx %= n
+        cells.append(idx[:, 0] * n + idx[:, 1])
         values.append(patch.samples.reshape(-1))
     # one bincount over the occupied cells adds each cell's samples in input order
     cells, values = np.concatenate(cells), np.concatenate(values)
@@ -131,19 +132,12 @@ def procedure1_invert(
             raise ValueError("procedure 1 requires a common region center")
     dx = pixel_extent / (2 * S)
     grid = bin_spectrum(patches, S, pixel_extent)
-    # on a 2S x 2S grid ifftshift and fftshift both swap the diagonal quadrants
-    halves = (slice(None, S), slice(S, None))
-    quadrant = np.empty((S, S), dtype=complex)
-    for c in (0, 1):
-        near, far = (halves[0], halves[c]), (halves[1], halves[1 - c])
-        quadrant[...] = grid[near]
-        grid[near] = grid[far]
-        grid[far] = quadrant
-    del quadrant
     # fft2 transforms axis 1, then axis 0; rows without a sample stay zero
     rows = np.flatnonzero(grid.any(axis=1))
     grid[rows] = np.fft.fft(grid[rows], axis=1)
     np.fft.fft(grid, axis=0, out=grid)
+    # on a 2S x 2S grid fftshift swaps the diagonal quadrants
+    halves = (slice(None, S), slice(S, None))
     magnitude = np.empty(grid.shape)
     for r in (0, 1):
         for c in (0, 1):

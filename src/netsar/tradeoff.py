@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDistributionError
-from .imageio import read_table, write_table
 
 _SUM_TOL = 1e-12
 _ZERO = 1e-15
@@ -122,57 +121,6 @@ def example_channel() -> JointChannel:
         for s in range(2):
             kernel[x, s, 2 * x + s] = 1.0
     return JointChannel(p_x=np.full(2, 0.5), p_s=np.full(2, 0.5), kernel=kernel)
-
-
-def channel_to_csv(ch: JointChannel, path) -> None:
-    """Sectioned CSV: p_x rows, p_s rows, then one kernel row per (x, s)."""
-    rows = [["p_x", "", *ch.p_x], ["p_s", "", *ch.p_s]]
-    rows += [
-        ["kernel", f"{x},{s}", *ch.kernel[x, s]]
-        for x in range(ch.p_x.size)
-        for s in range(ch.p_s.size)
-    ]
-    write_table(path, ["section", "index", "values"], rows)
-
-
-def channel_from_csv(path) -> JointChannel:
-    """Channel from :func:`channel_to_csv` rows; a malformed row raises
-    InvalidDistributionError naming its line."""
-    rows = {"p_x": [], "p_s": [], "kernel": []}
-    for line, row in enumerate(read_table(path)[1], start=2):
-        if len(row) < 2:
-            raise InvalidDistributionError(
-                f"line {line}: expected a section, an index and values"
-            )
-        if row[0] not in rows:
-            raise InvalidDistributionError(f"line {line}: unknown section {row[0]!r}")
-        try:
-            values = np.array(row[2:], dtype=float)
-        except ValueError as exc:
-            raise InvalidDistributionError(f"line {line}: {exc}") from None
-        rows[row[0]].append((line, row[1], values))
-    if not all(rows.values()):
-        raise InvalidDistributionError("channel file is missing a section")
-    p_x, p_s = rows["p_x"][-1][2], rows["p_s"][-1][2]
-    n_y = rows["kernel"][0][2].size
-    kernel = np.zeros((p_x.size, p_s.size, n_y))
-    for line, index, values in rows["kernel"]:
-        try:
-            x, s = (int(v) for v in index.split(","))
-        except ValueError:
-            raise InvalidDistributionError(
-                f"line {line}: kernel index {index!r} is not two integers x,s"
-            ) from None
-        if not (0 <= x < p_x.size and 0 <= s < p_s.size):
-            raise InvalidDistributionError(
-                f"line {line}: kernel index {index!r} is outside |X|={p_x.size}, |S|={p_s.size}"
-            )
-        if values.size != n_y:
-            raise InvalidDistributionError(
-                f"line {line}: kernel row has {values.size} values, the first has {n_y}"
-            )
-        kernel[x, s] = values
-    return JointChannel(p_x=p_x, p_s=p_s, kernel=kernel)
 
 
 def terms_table(terms: dict) -> str:

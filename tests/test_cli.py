@@ -43,7 +43,6 @@ from netsar.errors import (
     CorruptDatasetError,
     EmptyFootprintError,
     InvalidBeamError,
-    InvalidDistributionError,
     MissingDatasetError,
     NetsarError,
 )
@@ -1034,10 +1033,35 @@ def test_main_refuses_an_out_that_is_a_file_in_one_line(
     err = capsys.readouterr().err
     assert rc == 1 and err.count("\n") == 1
     assert err == f"netsar: ConfigError: output directory {afile} is an existing file\n"
+    below = afile / "sub" / "dir"
+    assert main([command, *args, "--out", str(below)]) == 1
+    assert capsys.readouterr().err == (
+        f"netsar: ConfigError: output directory {below} is below the existing file {afile}\n"
+    )
     assert afile.read_bytes() == b"kept\n"
     if command == "reconstruct":
         with pytest.raises(ConfigError, match="is an existing file"):
             reconstruct_run(SMALL, small_dataset, afile, seed=7)
+        with pytest.raises(ConfigError, match="is below the existing file"):
+            reconstruct_run(SMALL, small_dataset, below, seed=7)
+
+
+def test_a_manifest_lists_only_the_files_its_run_wrote(small_dataset, tmp_path):
+    def reconstruct(algorithm, out):
+        cfg = dataclasses.replace(SMALL, reconstruction=ReconstructionConfig(algorithm=algorithm))
+        reconstruct_run(cfg, small_dataset, out, seed=7)
+        return (out / "manifest.txt").read_bytes()
+
+    reused = tmp_path / "reused"
+    reconstruct("procedure1", reused)
+    manifest = reconstruct("intersect", reused)
+    assert (reused / "procedure1.pgm").exists()
+    assert manifest == reconstruct("intersect", tmp_path / "fresh")
+    listed = [line.split(" = ")[0] for line in manifest.decode().splitlines()]
+    assert [key for key in listed if key.startswith("checksum.")] == [
+        "checksum.estimates.csv",
+        "checksum.report.txt",
+    ]
 
 
 def test_main_reconstruct_reads_the_dataset_config(tmp_path, capsys):
@@ -1065,14 +1089,6 @@ def test_main_analyze_tradeoff(tmp_path, capsys):
     assert (out / "tradeoff.csv").exists()
 
 
-def test_main_analyze_tradeoff_rejects_an_empty_channel_file(tmp_path, capsys):
-    channel = tmp_path / "channel.csv"
-    channel.write_bytes(b"")
-    rc = main(["analyze", "tradeoff", "--channel", str(channel), "--out", str(tmp_path / "ana")])
-    assert rc != 0
-    assert capsys.readouterr().err.startswith(f"netsar: {InvalidDistributionError.__name__}: ")
-
-
 @pytest.mark.parametrize(
     "args",
     [
@@ -1080,15 +1096,13 @@ def test_main_analyze_tradeoff_rejects_an_empty_channel_file(tmp_path, capsys):
         ["slice-check", "--size", "-3"],
         ["slice-check", "--angle", "nan"],
         ["slice-check", "--angle", "inf"],
-        ["tradeoff", "--channel", "missing.csv"],
-        ["tradeoff", "--channel", "latin1.csv"],
+        # refused before the size x size**2 projection matrix is allocated
+        ["slice-check", "--size", "257"],
     ],
-    ids=["size-0", "size-negative", "angle-nan", "angle-inf", "channel-missing", "channel-not-utf8"],
+    ids=["size-0", "size-negative", "angle-nan", "angle-inf", "size-above-256"],
 )
 def test_main_analyze_refuses_a_bad_input_in_one_line(tmp_path, capsys, args):
-    (tmp_path / "latin1.csv").write_bytes(b"section,index,values\np_x,,0.5\xff\n")
     out = tmp_path / "ana"
-    args = [str(tmp_path / a) if a.endswith(".csv") else a for a in args]
     rc = main(["analyze", *args, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1 and err.count("\n") == 1

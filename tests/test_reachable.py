@@ -17,8 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     # ROADMAP item 3 wires it in through a scene height key
     "scene.set_height_profile",
-    # the only writer of the file format `netsar analyze tradeoff --channel` reads
-    "tradeoff.channel_to_csv",
 }
 
 

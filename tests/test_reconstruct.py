@@ -115,7 +115,7 @@ def test_bin_spectrum_adds_as_add_at_does():
     counts = np.zeros((n, n), dtype=np.int64)
     for patch in patches:
         coords = wavenumber_vectors(patch)[..., :2].reshape(-1, 2)
-        idx = np.rint(coords / dk).astype(int) + S
+        idx = np.rint(coords / dk).astype(int) % n  # FFT order: index i at i mod 2S
         np.add.at(acc, (idx[:, 0], idx[:, 1]), patch.samples.reshape(-1))
         np.add.at(counts, (idx[:, 0], idx[:, 1]), 1)
     assert counts.max() > 2
@@ -128,16 +128,16 @@ def test_procedure1_skips_only_rows_that_transform_to_zero():
     patches, S, pixel_extent = _low_carrier_group(), 512, 400.0
     grid = bin_spectrum(patches, S, pixel_extent)
     assert 0 < np.count_nonzero(grid.any(axis=1)) < 2 * S
-    expected = np.abs(np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(grid))))
+    expected = np.abs(np.fft.fftshift(np.fft.fft2(grid)))
     image = procedure1_invert(patches, S, pixel_extent)
     assert image.magnitude.tobytes() == expected.tobytes()
 
 
 def test_procedure1_shifts_odd_quadrants_as_fftshift_does():
-    # an odd S gives odd quadrants to the in-place shifts
+    # an odd S gives odd quadrants to the shift of the magnitude
     patches, S, pixel_extent = _low_carrier_group(), 257, 400.0 * 257 / 512
     grid = bin_spectrum(patches, S, pixel_extent)
-    expected = np.fft.fftshift(np.abs(np.fft.fft2(np.fft.ifftshift(grid))))
+    expected = np.fft.fftshift(np.abs(np.fft.fft2(grid)))
     image = procedure1_invert(patches, S, pixel_extent)
     assert image.magnitude.tobytes() == expected.tobytes()
 

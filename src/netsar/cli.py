@@ -44,7 +44,7 @@ from .errors import (
     InvalidBeamError,
     NetsarError,
 )
-from .forward import illuminated_pixels, release_buffers, synthesize_measurement
+from .forward import illuminated_pixels, synthesize_measurement
 from .geometry import BeamSpec, beam_footprint
 from .imageio import write_pgm, write_table
 from .isar import VoxelGrid, solve_voxel_grid, voxel_grid_slices_to_pgm, voxel_grid_to_csv
@@ -92,9 +92,10 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
 
     The loop only plans: it makes every draw and classifies every beam,
     and keeps each recorded patch's row and synthesis inputs. Then the
-    patches are synthesized in complex128 one at a time, each stored in
-    samples.npy as complex64 and hashed as it is written, so no more than
-    one patch's samples are held at once. A negative seed raises
+    patches are synthesized one at a time at the complex64 precision
+    samples.npy stores (the Vandermonde product of synthesize_measurement),
+    each written and hashed as it comes, so no more than one patch's
+    samples are held at once. A negative seed raises
     ConfigError before out is created.
     """
     if seed < 0:
@@ -162,15 +163,13 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     save_config(cfg, out / "config.txt")
     write_table(out / "patches.csv", PATCH_COLUMNS, rows)
     shape = (len(plan), cfg.network.antenna_count, cfg.waveform.subcarrier_count)
-    # synthesized in complex128, stored at a receiver's precision
     blocks = (
         synthesize_measurement(
-            scene, tx, beam, rx, wf, footprint=footprint, illuminated=lit
+            scene, tx, beam, rx, wf, footprint=footprint, illuminated=lit, dtype=np.complex64
         ).samples
         for tx, beam, rx, wf, footprint, lit in plan
     )
     extra = [f"checksum.samples.npy = {_save_npy(out / 'samples.npy', shape, blocks)}"]
-    release_buffers()
     extra += [f"patch_count = {len(rows)}"]
     extra += [f"skipped.{reason} = {n}" for reason, n in sorted(skipped.items())]
     names = ["scene.csv", "scene.pgm", "config.txt", "patches.csv", "samples.npy"]
@@ -238,12 +237,16 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
     Out is created, and the artifacts written, only after the last row,
     once samples.npy has matched its checksum, so a refused dataset
     leaves no output directory. An out that resolves to the dataset
-    directory, or is or lies below an existing file, raises ConfigError
-    before anything is read or written.
+    directory, holds another dataset's samples.npy, or is or lies below an
+    existing file, raises ConfigError before anything is read or written.
     """
     if out.resolve() == dataset.resolve():
         raise ConfigError(
             f"output directory {out} is the dataset {dataset}; write the reconstruction elsewhere"
+        )
+    if (out / "samples.npy").exists():
+        raise ConfigError(
+            f"output directory {out} holds a dataset; write the reconstruction elsewhere"
         )
     _refuse_a_file_out(out)
     data = open_dataset(cfg, dataset)

@@ -10,7 +10,6 @@ the forward model stays independent of the reconstruction chain.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,109 +120,64 @@ def illuminated_pixels(
 # (antenna, pixel, subcarrier) terms one block of ``_antenna_sums`` holds:
 # as many antennas as fit, and at least one
 _TERMS = 1 << 17
-# one anonymous map holding the phase and delta-product buffers, reused
-# across blocks and patches until release_buffers
-_buffer: mmap.mmap | None = None
 
 
-def release_buffers() -> None:
-    """Return the synthesis buffer to the system; the next synthesis maps a new one."""
-    global _buffer
-    if _buffer is not None:
-        _buffer.close()
-        _buffer = None
+def _direct(amp, t, k):
+    """Each antenna's sum over pixels of amp * exp(-1j * k_m * t), one exponential a term."""
+    phase = np.exp(-1j * (k[:, None] * t[:, None, :]))
+    return (phase @ amp[..., None])[..., 0]
 
 
-def _ramp(y: np.ndarray) -> np.ndarray:
-    """exp(-1j * y) along axis 0, for y[0] == 0 and y[n] close to n * y[1].
+def _vandermonde(amp, t, k):
+    """The sums of ``_direct`` from powers of two phasors per (antenna, pixel).
 
-    Two exponentials per column: with n = a + b * w and w = isqrt(len(y)),
-    exp(-1j * n * h) is exp(-1j * h)**a * exp(-1j * w * h)**b, for h = y[1]
-    rounded (Veltkamp) to few enough bits that n * h is exact for every n.
-    The residue e = y[n] - n * h (about 1e-11) is exact too (Sterbenz) and
-    is applied as 1 - 1j * e. Two phasors keep the powers short: one
-    phasor raised to the 15th power carried twice the rounding error.
+    The subcarriers are evenly spaced, k_m = k_0 + m dk, so with
+    w = isqrt(M) and m = j + w b the term is a r**j (r**w)**b, for
+    a = amp exp(-1j k_0 t) and r = exp(-1j dk t). The w "low" powers, a
+    folded in, and the ceil(M / w) "high" powers are formed by repeated
+    multiplication, and one ``matmul`` per antenna sums their products
+    over the pixels; the columns past M are trimmed. The phases are
+    rounded otherwise than the direct sum rounds k_m t: about 1e-11 of the
+    largest sample, far below the complex64 rounding step of 6e-8.
     """
-    count = len(y)
-    if count == 1:
-        return np.ones(y.shape, dtype=complex)
-    scaled = y[1] * (2.0 ** (count - 1).bit_length() + 1.0)
-    h = scaled - (scaled - y[1])
-    w = math.isqrt(count)
-    ramps = np.empty((2, -(-count // w)) + y.shape[1:], dtype=complex)
-    ramps[:, 0] = 1.0
-    ramps[0, 1] = np.exp(-1j * h)
-    ramps[1, 1] = np.exp(-1j * (w * h))
-    for b in range(2, ramps.shape[1]):
-        np.multiply(ramps[:, b - 1], ramps[:, 1], out=ramps[:, b])
-    out = ramps[1, :, None] * ramps[0, :w]
-    out = out.reshape(-1, *y.shape[1:])[:count]
-    out *= 1.0 - 1j * (y - np.arange(count).reshape(-1, 1, 1) * h)
-    return out
+    m = k.size
+    w = math.isqrt(m)
+    dk = (k[-1] - k[0]) / max(m - 1, 1)
+    low = np.empty((w,) + t.shape, dtype=complex)
+    high = np.empty((-(-m // w),) + t.shape, dtype=complex)
+    low[0] = amp * np.exp(-1j * (k[0] * t))
+    high[0] = 1.0
+    r = np.exp(-1j * (dk * t))
+    r_w = np.exp(-1j * (w * dk * t))
+    for j in range(1, w):
+        np.multiply(low[j - 1], r, out=low[j])
+    for b in range(1, len(high)):
+        np.multiply(high[b - 1], r_w, out=high[b])
+    sums = high.transpose(1, 0, 2) @ low.transpose(1, 2, 0)
+    return sums.reshape(len(t), -1)[:, :m]
 
 
 def _antenna_sums(samples, pix, values, tx_pos, rx_pos, k) -> None:
     """Write each antenna's pixel sum into ``samples``, one row per antenna.
 
-    Antennas are taken in blocks of as many as ``_TERMS`` allows. The
-    wavenumbers are laid out in runs of B = isqrt(M), the last run padded;
-    the padded columns are trimmed. The phase theta = k_m * t,
-    t = d_tx + d_rx, is rounded exactly as the direct sum rounds it and
-    laid out as (run, subcarrier, antenna, pixel), then split as
-    q + u + delta: q is theta at its run's first subcarrier, r = theta - q
-    is exact while the band lies within an octave (Sterbenz), u is r of
-    the first run and delta = r - u (about 1e-10) is exact too. So
-    exp(-i theta) = exp(-i q) exp(-i u) (1 - i delta) up to delta**2 / 2.
-    Within an octave (``octave``) exp(-i q) is exp(-i q_0) times the ramp
-    of q - q_0 and exp(-i u) the ramp of u (``_ramp``): 5 exponentials per
-    (antenna, pixel). Across octaves the differences are rounded, and the
-    2B exponentials are taken directly. Batched ``matmul`` sums over the
-    pixels: each antenna is its own batch element of the same shape, so
-    the bits depend on neither ``_TERMS`` nor the BLAS thread count. These
-    products are too small for OpenBLAS to split among its threads, so it
-    runs them on the calling thread. Their last bits may depend on the
-    kernel OpenBLAS picks for the CPU.
-
-    The phases and the delta products live in ``_buffer``, which is mapped
-    again only when a block needs more than it holds.
+    Antennas are taken in blocks of as many as ``_TERMS`` allows. Complex128
+    samples take the direct sum (``_direct``), criterion 2's oracle;
+    complex64 samples, the precision samples.npy stores, take the
+    Vandermonde product (``_vandermonde``), summed in complex128 and
+    rounded once. Batched ``matmul`` sums over the pixels: each antenna is
+    its own batch element of the same shape, so the bits depend on neither
+    ``_TERMS`` nor the BLAS thread count. These products are too small for
+    OpenBLAS to split among its threads, so it runs them on the calling
+    thread. Their last bits may depend on the kernel OpenBLAS picks for
+    the CPU.
     """
-    global _buffer
-    run = math.isqrt(k.size)
-    k_runs = np.pad(k, (0, -k.size % run), mode="edge").reshape(-1, run)
-    width = max(1, _TERMS // (k_runs.size * len(values)))
-    size = width * k_runs.size * len(values)
-    if _buffer is None or len(_buffer) < 24 * size:
-        _buffer = mmap.mmap(-1, 24 * size, flags=mmap.MAP_PRIVATE)
-    phase = np.frombuffer(_buffer, dtype=float, count=size)
-    product = np.frombuffer(_buffer, dtype=complex, count=size, offset=8 * size)
+    block = _direct if samples.dtype == np.complex128 else _vandermonde
     d_tx = np.linalg.norm(pix - tx_pos[None, :], axis=1)
-    octave = bool(k[-1] <= 2.0 * k[0])
-    m = samples.shape[1]
+    width = max(1, _TERMS // (k.size * len(values)))
     for start in range(0, len(rx_pos), width):
         rows = slice(start, start + width)
         d_rx = np.linalg.norm(pix[None, :, :] - rx_pos[rows, None, :], axis=2)
-        amp = values / (d_tx * d_rx)
-        shape = k_runs.shape + amp.shape
-        theta = phase[: math.prod(shape)].reshape(shape)
-        np.multiply(k_runs[:, :, None, None], d_tx + d_rx, out=theta)
-        # q and u are copied out before theta becomes r, then delta, in
-        # place: an operand that overlaps its output makes numpy copy slowly
-        q = theta[:, 0].copy()
-        theta -= q[:, None]
-        u = theta[0].copy()
-        theta -= u
-        if octave:
-            w = amp * np.exp(-1j * q[0]) * _ramp(q - q[0])
-            eu = _ramp(u)
-        else:
-            w = amp * np.exp(-1j * q)
-            eu = np.exp(-1j * u)
-        # one zgemm per antenna, one matrix-vector product per (run, antenna)
-        sums = w.transpose(1, 0, 2) @ eu.transpose(1, 2, 0)
-        corr = np.multiply(theta, eu, out=product[: theta.size].reshape(shape))
-        corr = corr.transpose(0, 2, 1, 3) @ w[..., None]
-        sums -= 1j * corr[..., 0].transpose(1, 0, 2)
-        samples[rows] = sums.reshape(len(amp), -1)[:, :m]
+        samples[rows] = block(values / (d_tx * d_rx), d_tx + d_rx, k)
 
 
 def synthesize_measurement(
@@ -235,6 +189,7 @@ def synthesize_measurement(
     region_center: GroundPoint | None = None,
     footprint: EllipseFootprint | None = None,
     illuminated: tuple[np.ndarray, np.ndarray] | None = None,
+    dtype=complex,
 ) -> MeasurementPatch:
     """Synthesize the patch a receiving station records from one beam.
 
@@ -243,8 +198,13 @@ def synthesize_measurement(
     nothing and are skipped); a caller that already classified the
     footprint passes that ``(pixels, values)`` pair as ``illuminated``.
     The region center defaults to the footprint center and anchors all
-    direction/distance metadata (see ``_antenna_sums`` for the sum).
+    direction/distance metadata. The samples are complex128, the direct
+    sum, or with ``dtype=np.complex64`` the Vandermonde product rounded to
+    the precision samples.npy stores (see ``_antenna_sums``); any other
+    dtype raises ValueError.
     """
+    if np.dtype(dtype) not in (np.complex128, np.complex64):
+        raise ValueError(f"dtype {np.dtype(dtype)}: synthesis yields complex128 or complex64")
     if footprint is None:
         footprint = beam_footprint(tx, beam)
     if region_center is None:
@@ -258,7 +218,7 @@ def synthesize_measurement(
     tx_pos = tx.position.as_array()
     k = wf.wavenumbers()
 
-    samples = np.zeros((rx.antenna_count, wf.subcarrier_count), dtype=complex)
+    samples = np.zeros((rx.antenna_count, wf.subcarrier_count), dtype=dtype)
     if values.size:
         _antenna_sums(samples, pix, values, tx_pos, rx_pos, k)
     return MeasurementPatch(samples, tx, rx, wf, region_center, footprint)

@@ -192,7 +192,8 @@ def test_receive_distance_limit(tmp_path):
 
 def _simulate_pair_by_pair(cfg, seed):
     """simulate_run's schedule, synthesizing every eligible (beam, receiver)
-    pair: (recorded sample blocks, skip counts, beams per outcome)."""
+    pair at the stored precision: (recorded sample blocks, skip counts,
+    beams per outcome)."""
     scene = build_scene(cfg)
     stations = build_network(cfg)
     sch = cfg.schedule
@@ -226,7 +227,9 @@ def _simulate_pair_by_pair(cfg, seed):
                 if np.linalg.norm(reach) > sch.max_receive_distance_m:
                     continue
                 try:
-                    patch = synthesize_measurement(scene, tx, beam, rx, wf, footprint=footprint)
+                    patch = synthesize_measurement(
+                        scene, tx, beam, rx, wf, footprint=footprint, dtype=np.complex64
+                    )
                 except EmptyFootprintError:
                     outcome = "outside_scene"
                 else:
@@ -275,8 +278,8 @@ def test_load_dataset_round_trip(tmp_path):
     with pytest.raises(MissingDatasetError):
         load_dataset(SMALL, tmp_path / "nope")
 
-    # every loaded patch carries the geometry synthesis gave it, bit for
-    # bit, and its samples rounded to the complex64 they are stored in
+    # every loaded patch carries the geometry and the complex64 samples
+    # synthesis at the stored precision gave it, bit for bit
     scene = build_scene(SMALL)
     stations = {s.station_id: s for s in build_network(SMALL)}
     header, rows = read_table(out / "patches.csv")
@@ -293,8 +296,10 @@ def test_load_dataset_round_trip(tmp_path):
             beam,
             stations[row[col["rx_id"]]],
             channel_waveform(SMALL, int(row[col["channel"]])),
+            dtype=np.complex64,
         )
-        assert np.array_equal(loaded.samples, made.samples.astype(np.complex64).astype(complex))
+        assert loaded.samples.dtype == made.samples.dtype
+        assert loaded.samples.tobytes() == made.samples.tobytes()
         assert np.array_equal(loaded.direction, made.direction)
         for name in ("tx", "rx", "bistatic_scale", "region_center", "waveform", "footprint"):
             assert getattr(loaded, name) == getattr(made, name), name
@@ -694,6 +699,22 @@ def test_reconstruct_refuses_to_write_into_its_own_dataset(tmp_path, monkeypatch
         reconstruct_run(SMALL, tmp_path / "out", Path("out"), seed=7)
     assert (tmp_path / "out" / "manifest.txt").read_bytes() == manifest
     assert not (tmp_path / "out" / "report.txt").exists()
+
+
+def test_reconstruct_refuses_to_write_into_another_dataset(tmp_path, monkeypatch):
+    d1, d2 = tmp_path / "d1", tmp_path / "d2"
+    simulate_run(SMALL, d1, seed=7)
+    simulate_run(SMALL, d2, seed=8)
+    before = {p.name: p.read_bytes() for p in d2.iterdir()}
+
+    def refused(*args):
+        pytest.fail("the dataset was opened before out was checked")
+
+    monkeypatch.setattr(netsar.cli, "open_dataset", refused)
+    with pytest.raises(ConfigError, match="output directory .*d2 holds a dataset"):
+        reconstruct_run(SMALL, d1, d2, seed=7)
+    assert {p.name: p.read_bytes() for p in d2.iterdir()} == before
+    assert len(load_dataset(SMALL, d2)) > 0
 
 
 def test_reconstruct_3d_with_planes(tmp_path):

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -186,20 +185,31 @@ def _direct_sum(pix, values, tx_pos, rx_pos, k):
     return expected
 
 
+def _within_a_complex64_step(stored, expected, bound=1e-9):
+    """Each component of stored is expected's, within bound of the largest
+    |sample| and the half step of its rounding to complex64."""
+    assert stored.dtype == np.complex64
+    slack = bound * np.abs(expected).max()
+    for part in (np.real, np.imag):
+        step = np.spacing(np.abs(part(expected)).astype(np.float32)).astype(float)
+        assert np.all(np.abs(part(stored) - part(expected)) <= 0.5 * step + slack)
+
+
 @pytest.mark.parametrize(
     "wf, bound",
     [(dataclasses.replace(WF, subcarrier_count=m), 1e-14) for m in (1, 7, 37, 300)]
-    # 2 to 110 MHz: a run spans more than an octave, so theta - q is rounded
+    # 2 to 110 MHz: the band spans more than an octave
     + [(WaveformSpec(carrier_frequency=2e6, subcarrier_count=37, subcarrier_spacing=3e6), 1e-12)],
     ids=["M1", "M7", "M37", "M300", "octaves"],
 )
 def test_split_phase_synthesis_matches_the_direct_sum(wf, bound):
-    # subcarrier counts that are not a whole number of isqrt(M) runs
+    # the exact path, and the stored path, whose phases split into
+    # isqrt(M) low and ceil(M / isqrt(M)) high powers: counts that are
+    # not a whole number of isqrt(M) columns leave trimmed ones
     scene = _random_scene(4, 9)
     tx, rx = _stations()
-    patch = synthesize_measurement(
-        scene, tx, BEAM, rx, wf, region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT
-    )
+    kwargs = dict(region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT)
+    patch = synthesize_measurement(scene, tx, BEAM, rx, wf, **kwargs)
     expected = _direct_sum(
         *illuminated_pixels(scene, FOOTPRINT),
         tx.position.as_array(),
@@ -207,33 +217,38 @@ def test_split_phase_synthesis_matches_the_direct_sum(wf, bound):
         wf.wavenumbers(),
     )
     scale = np.abs(expected).max()
+    assert patch.samples.dtype == np.complex128
     assert np.abs(patch.samples - expected).max() / scale < bound
+    stored = synthesize_measurement(scene, tx, BEAM, rx, wf, **kwargs, dtype=np.complex64)
+    _within_a_complex64_step(stored.samples, expected)
 
 
 def test_synthesis_does_not_depend_on_participants_or_block_size(monkeypatch):
     # 20 antennas: at a budget of eight antennas' terms, two full blocks and
-    # a short one of 4; 37 subcarriers leave the last run of isqrt(37) = 6 padded
+    # a short one of 4; 37 subcarriers leave the last isqrt(37) = 6 stored
+    # columns trimmed; on the exact path and on the stored one
     scene = _random_scene(3, 9)
     tx, rx = _stations()
     rx = dataclasses.replace(rx, antenna_count=20)
     pix, values = illuminated_pixels(scene, FOOTPRINT)
     terms = forward._TERMS
     for wf in (WF, dataclasses.replace(WF, subcarrier_count=37)):
-        monkeypatch.setattr(forward, "_TERMS", terms)
-        patch = synthesize_measurement(
-            scene, tx, BEAM, rx, wf, region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT
-        )
-        assert np.any(patch.samples)
-        args = (pix, values, tx.position.as_array(), rx.antenna_positions(), wf.wavenumbers())
-        run = math.isqrt(wf.subcarrier_count)
-        per_antenna = values.size * run * -(-wf.subcarrier_count // run)
-        # eight antennas per block, then a budget below one antenna's terms:
-        # one antenna per block
-        for budget in (8 * per_antenna, 1):
-            monkeypatch.setattr(forward, "_TERMS", budget)
-            samples = np.zeros_like(patch.samples)
-            forward._antenna_sums(samples, *args)
-            assert samples.tobytes() == patch.samples.tobytes(), (wf, budget)
+        for dtype in (complex, np.complex64):
+            monkeypatch.setattr(forward, "_TERMS", terms)
+            patch = synthesize_measurement(
+                scene, tx, BEAM, rx, wf,
+                region_center=GroundPoint(0.0, 0.0), footprint=FOOTPRINT, dtype=dtype,
+            )
+            assert np.any(patch.samples)
+            args = (pix, values, tx.position.as_array(), rx.antenna_positions(), wf.wavenumbers())
+            per_antenna = values.size * wf.subcarrier_count
+            # eight antennas per block, then a budget below one antenna's
+            # terms: one antenna per block
+            for budget in (8 * per_antenna, 1):
+                monkeypatch.setattr(forward, "_TERMS", budget)
+                samples = np.zeros_like(patch.samples)
+                forward._antenna_sums(samples, *args)
+                assert samples.tobytes() == patch.samples.tobytes(), (wf, dtype, budget)
 
 
 def test_synthesis_at_the_largest_crowded_block(monkeypatch):
@@ -259,35 +274,69 @@ def test_synthesis_at_the_largest_crowded_block(monkeypatch):
     assert single.tobytes() == block.tobytes()
 
 
+def _random_geometry(rng, m, octave):
+    """(pixels, values, tx position, rx antenna positions, wavenumbers) of m
+    evenly spaced subcarriers; the band spans more than an octave unless
+    octave is set (or m is 1)."""
+    n_pix = int(rng.integers(1, 61))
+    n_ant = int(rng.integers(1, 71))
+    pix = np.column_stack([rng.uniform(-60, 60, (n_pix, 2)), rng.uniform(0, 5, n_pix)])
+    values = rng.normal(size=n_pix) + 1j * rng.normal(size=n_pix)
+    tx_pos = np.append(rng.uniform(-800, 800, 2), rng.uniform(10, 60))
+    rx_pos = np.append(rng.uniform(-800, 800, 2), rng.uniform(10, 60))
+    rx_pos = rx_pos + np.outer(np.arange(n_ant), rng.uniform(-0.05, 0.05, 3))
+    if octave or m == 1:
+        # the band ends below twice its first frequency
+        f0 = rng.uniform(1e9, 60e9)
+        spacing = rng.uniform(0.01, 1.0) * f0 / max(m - 1, 1)
+    else:
+        # a few MHz: the band spans more than an octave
+        f0 = rng.uniform(1e6, 5e6)
+        spacing = rng.uniform(1.1, 3.0) * f0
+    k = 2.0 * np.pi * (f0 + np.arange(m) * spacing) / SPEED_OF_LIGHT
+    assert (k[-1] <= 2.0 * k[0]) == (octave or m == 1)
+    return pix, values, tx_pos, rx_pos, k
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 16, 37, 256, 300])
 def test_synthesis_matches_the_direct_sum_over_random_geometries(m):
     rng = np.random.default_rng(m)
     for octave, bound in ((True, 1e-14), (False, 1e-12)):
         for _ in range(3):
-            n_pix = int(rng.integers(1, 61))
-            n_ant = int(rng.integers(1, 71))
-            pix = np.column_stack(
-                [rng.uniform(-60, 60, (n_pix, 2)), rng.uniform(0, 5, n_pix)]
-            )
-            values = rng.normal(size=n_pix) + 1j * rng.normal(size=n_pix)
-            tx_pos = np.append(rng.uniform(-800, 800, 2), rng.uniform(10, 60))
-            rx_pos = np.append(rng.uniform(-800, 800, 2), rng.uniform(10, 60))
-            rx_pos = rx_pos + np.outer(np.arange(n_ant), rng.uniform(-0.05, 0.05, 3))
-            if octave or m == 1:
-                # the band ends below twice its first frequency
-                f0 = rng.uniform(1e9, 60e9)
-                spacing = rng.uniform(0.01, 1.0) * f0 / max(m - 1, 1)
-            else:
-                # a few MHz: the band spans more than an octave
-                f0 = rng.uniform(1e6, 5e6)
-                spacing = rng.uniform(1.1, 3.0) * f0
-            k = 2.0 * np.pi * (f0 + np.arange(m) * spacing) / SPEED_OF_LIGHT
-            assert (k[-1] <= 2.0 * k[0]) == (octave or m == 1)
-            expected = _direct_sum(pix, values, tx_pos, rx_pos, k)
+            args = _random_geometry(rng, m, octave)
+            expected = _direct_sum(*args)
             samples = np.zeros_like(expected)
-            forward._antenna_sums(samples, pix, values, tx_pos, rx_pos, k)
+            forward._antenna_sums(samples, *args)
             error = np.abs(samples - expected).max() / np.abs(expected).max()
-            assert error < bound, (octave, n_pix, n_ant, error)
+            assert error < bound, (octave, samples.shape, error)
+
+
+@pytest.mark.parametrize("m", [1, 2, 33, 256])
+def test_stored_synthesis_matches_the_direct_sum_over_random_geometries(m):
+    # carriers of 1 to 60 GHz, and bands of a few MHz across several octaves
+    rng = np.random.default_rng(1000 + m)
+    for octave in (True, False):
+        for _ in range(4):
+            args = _random_geometry(rng, m, octave)
+            pix, values, tx_pos, rx_pos, k = args
+            expected = _direct_sum(*args)
+            d_tx = np.linalg.norm(pix - tx_pos[None, :], axis=1)
+            d_rx = np.linalg.norm(pix[None, :, :] - rx_pos[:, None, :], axis=2)
+            wide = forward._vandermonde(values / (d_tx * d_rx), d_tx + d_rx, k)
+            error = np.abs(wide - expected).max() / np.abs(expected).max()
+            assert error < 1e-9, (octave, wide.shape, error)
+            # complex64 samples take that sum, rounded once
+            samples = np.zeros(expected.shape, dtype=np.complex64)
+            forward._antenna_sums(samples, *args)
+            assert samples.tobytes() == wide.astype(np.complex64).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, object])
+def test_synthesis_refuses_a_dtype_it_does_not_synthesize(dtype):
+    scene = _random_scene(4, 9)
+    tx, rx = _stations()
+    with pytest.raises(ValueError, match="complex128 or complex64"):
+        synthesize_measurement(scene, tx, BEAM, rx, WF, footprint=FOOTPRINT, dtype=dtype)
 
 
 def test_synthesis_matches_a_serial_matrix_vector_loop_on_the_survey_geometry():
@@ -352,62 +401,3 @@ def test_samples_depend_on_neither_blas_threads_nor_cpu_count(tmp_path):
     assert len({digest for _, digest in runs.values()}) == 1, runs
     # the synthesis starts no thread, whatever the CPU count
     assert all(threads == "1" for threads, _ in runs.values()), runs
-
-
-FORK_AFTER_SYNTHESIS = """
-import os, signal
-import numpy as np
-from netsar import forward
-pix = np.array([[1.0, 2.0, 0.0], [-3.0, 0.5, 0.0]])
-values = np.array([1.0 + 0.0j, 0.5j])
-rx = np.stack([np.linspace(0.0, 0.5, 16), np.full(16, 50.0), np.full(16, 30.0)], axis=1)
-k = np.linspace(100.0, 101.0, 8)
-def sums():
-    samples = np.zeros((16, 8), dtype=complex)
-    forward._antenna_sums(samples, pix, values, np.array([100.0, 0.0, 40.0]), rx, k)
-    return samples
-parent = sums()
-pid = os.fork()
-if pid == 0:
-    signal.alarm(30)  # a hung child ends here
-    os._exit(0 if sums().tobytes() == parent.tobytes() else 1)
-print(os.waitpid(pid, 0)[1])
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_a_forked_child_synthesizes_after_its_parent_built_the_pool():
-    # the child reuses its copy of the parent's buffer map
-    src = Path(netsar.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-c", FORK_AFTER_SYNTHESIS],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert result.stdout.split() == ["0"]
-
-
-def test_no_synthesis_buffer_outlives_simulate_run(monkeypatch, tmp_path):
-    from netsar.cli import simulate_run
-
-    made = []
-    real_mmap = forward.mmap.mmap
-
-    def mapped(*args, **kwargs):
-        buffer = real_mmap(*args, **kwargs)
-        made.append(weakref.ref(buffer))
-        return buffer
-
-    monkeypatch.setattr(forward.mmap, "mmap", mapped)
-    forward.release_buffers()  # an earlier synthesis in this process may have left it
-    cfg = RunConfig(
-        scene=dataclasses.replace(RunConfig().scene, extent_m=200.0),
-        schedule=dataclasses.replace(RunConfig().schedule, slot_count=30),
-    )
-    assert simulate_run(cfg, tmp_path, seed=99) > 0
-    assert made
-    assert forward._buffer is None
-    assert all(ref() is None for ref in made)

@@ -44,7 +44,7 @@ from .errors import (
     InvalidBeamError,
     NetsarError,
 )
-from .forward import illuminated_pixels, synthesize_measurement
+from .forward import illuminated_pixels, lit_pixel_index, synthesize_measurement
 from .geometry import BeamSpec, beam_footprint
 from .imageio import write_pgm, write_table
 from .isar import VoxelGrid, solve_voxel_grid, voxel_grid_slices_to_pgm, voxel_grid_to_csv
@@ -103,9 +103,11 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     out.mkdir(parents=True, exist_ok=True)
     scene = build_scene(cfg)
     stations = build_network(cfg)
-    station_xy = np.array([s.position.horizontal() for s in stations])
+    station_xy = [(s.position.x, s.position.y) for s in stations]
     sch = cfg.schedule
     open_angle = math.radians(cfg.beam.open_angle_deg)
+    waveforms = [channel_waveform(cfg, ch) for ch in range(sch.channel_count)]
+    index = lit_pixel_index(scene)
 
     root = np.random.SeedSequence(seed)
     slot_seeds = root.spawn(sch.slot_count)
@@ -117,8 +119,10 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
         rng = np.random.default_rng(slot_seeds[slot])
         transmits = rng.random(len(stations)) < sch.transmit_probability
         channels = rng.integers(0, sch.channel_count, size=len(stations))
+        # the channel each station transmits on, -1 where it does not
+        sends = [c if t else -1 for t, c in zip(transmits.tolist(), channels.tolist())]
         for ti, tx in enumerate(stations):
-            if not transmits[ti]:
+            if sends[ti] < 0:
                 continue
             # aim: uniform over the disk of the aim radius around the base
             radius = cfg.beam.aim_radius_m * math.sqrt(rng.random())
@@ -134,20 +138,22 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
             except InvalidBeamError:
                 skipped["invalid_beam"] += 1
                 continue
-            ch = int(channels[ti])
-            wf = channel_waveform(cfg, ch)
-            # stations in reach of the footprint that listen on its channel
-            listening = (
-                np.linalg.norm(station_xy - footprint.center.horizontal(), axis=1)
+            ch = sends[ti]
+            wf = waveforms[ch]
+            cx, cy = footprint.center.x, footprint.center.y
+            # stations in reach of the footprint that do not transmit on its channel
+            receivers = [
+                rx
+                for rx, (x, y), sent in zip(stations, station_xy, sends)
+                if sent != ch
+                and math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy))
                 <= sch.max_receive_distance_m
-            ) & ~(transmits & (channels == ch))
-            listening[ti] = False
-            receivers = [stations[ri] for ri in np.flatnonzero(listening)]
+            ]
             if not receivers:
                 continue
             # the footprint test depends on the beam alone: classify it once
             try:
-                pixels, values = illuminated_pixels(scene, footprint)
+                pixels, values = illuminated_pixels(scene, footprint, index)
             except EmptyFootprintError:
                 skipped["outside_scene"] += len(receivers)
                 continue

@@ -9,6 +9,7 @@ the forward model stays independent of the reconstruction chain.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -82,39 +83,61 @@ class MeasurementPatch:
             raise ValueError("sample grid must be (antenna_count, subcarrier_count)")
 
 
+def lit_pixel_index(scene: Scene) -> tuple:
+    """What ``illuminated_pixels`` reads of a scene, for a caller to build
+    once: the pixel centers along each axis, and the nonzero pixels' x,
+    (n, 3) positions, heights included, and values, in row-major order."""
+    xs, ys = scene.pixel_centers()
+    ix, iy = np.nonzero(scene.reflectivity)
+    heights = np.zeros(ix.size) if scene.height is None else scene.height[ix, iy]
+    pixels = np.stack([xs[ix], ys[iy], heights], axis=1)
+    return xs.tolist(), ys.tolist(), xs[ix].tolist(), pixels, scene.reflectivity[ix, iy]
+
+
+def _within(centers: list, c: float, r: float) -> slice:
+    """The run of sorted centers with |center - c| <= r in float arithmetic,
+    which rounds center - c monotonically in center, so bisection finds it."""
+    lo = bisect.bisect_left(centers, -r, key=lambda x: x - c)
+    return slice(lo, bisect.bisect_right(centers, r, lo, key=lambda x: x - c))
+
+
+def _nearest(centers: list, c: float) -> float:
+    """The sorted center with the least float |center - c|."""
+    i = bisect.bisect_left(centers, c)
+    return min(centers[max(i - 1, 0) : i + 1], key=lambda x: abs(x - c))
+
+
 def illuminated_pixels(
-    scene: Scene, footprint: EllipseFootprint
+    scene: Scene, footprint: EllipseFootprint, index: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero scene pixels whose centers lie inside the footprint.
 
     Returns (pixels, values): the (n, 3) pixel positions, heights
-    included, and their reflectivities, in the fixed order synthesis sums
-    them. Both are empty when every pixel the footprint covers is dark.
-    Raises EmptyFootprintError when no pixel center lies inside it.
+    included, and their reflectivities, in row-major order, the order
+    synthesis sums them. Both are empty when every pixel center inside
+    the footprint is dark. Raises EmptyFootprintError when no pixel
+    center lies inside it. ``index`` is ``lit_pixel_index(scene)``,
+    built here when not given.
+
+    Only the nonzero pixels inside the footprint's bounding box in x
+    are tested against the ellipse, together with the grid center
+    nearest the footprint center: if that is inside, the footprint is
+    lit or dark. Only if not are all grid centers in the box tested.
     """
-    xs, ys = scene.pixel_centers()
-    # restrict to the footprint bounding box before the ellipse test
-    ix = np.nonzero(np.abs(xs - footprint.center.x) <= footprint.semi_major)[0]
-    iy = np.nonzero(np.abs(ys - footprint.center.y) <= footprint.semi_major)[0]
-    if ix.size == 0 or iy.size == 0:
+    xs, ys, lit_x, pixels, values = lit_pixel_index(scene) if index is None else index
+    cx, cy, a = footprint.center.x, footprint.center.y, footprint.semi_major
+    nearest = [_nearest(xs, cx), _nearest(ys, cy)]
+    if abs(nearest[0] - cx) > a or abs(nearest[1] - cy) > a:
         raise EmptyFootprintError("footprint does not intersect the scene grid")
-    gx, gy = np.meshgrid(ix, iy, indexing="ij")
-    gx = gx.ravel()
-    gy = gy.ravel()
-    pts = np.stack([xs[gx], ys[gy]], axis=1)
-    inside = points_in_footprint(pts, footprint)
-    if not np.any(inside):
-        raise EmptyFootprintError("no scene pixel center lies inside the footprint")
-    gx, gy = gx[inside], gy[inside]
-
-    values = scene.reflectivity[gx, gy]
-    nonzero = values != 0
-    gx, gy, values = gx[nonzero], gy[nonzero], values[nonzero]
-
-    heights = (
-        np.zeros(gx.size) if scene.height is None else scene.height[gx, gy]
-    )
-    return np.stack([xs[gx], ys[gy], heights], axis=1), values
+    near = _within(lit_x, cx, a)
+    inside = points_in_footprint(np.concatenate([pixels[near, :2], [nearest]]), footprint)
+    if inside[:-1].any():
+        return pixels[near][inside[:-1]], values[near][inside[:-1]]
+    if not inside[-1]:
+        box = np.meshgrid(xs[_within(xs, cx, a)], ys[_within(ys, cy, a)])
+        if not points_in_footprint(np.stack(box, axis=-1).reshape(-1, 2), footprint).any():
+            raise EmptyFootprintError("no scene pixel center lies inside the footprint")
+    return pixels[:0], values[:0]
 
 
 # (antenna, pixel, subcarrier) terms one block of ``_antenna_sums`` holds:

@@ -265,6 +265,17 @@ def test_simulate_classifies_each_beam_as_a_pair_by_pair_loop_does(tmp_path, mon
     assert (out / "samples.npy").read_bytes() == (tmp_path / "reference.npy").read_bytes()
 
 
+def test_the_default_plan_records_its_pinned_counts(tmp_path):
+    # the default config at schedule seed 12345 is the survey baseline plan
+    assert simulate_run(RunConfig(), tmp_path, 12345) == 113
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    counts = dict(line.split(" = ") for line in manifest if " = " in line)
+    assert counts["patch_count"] == "113"
+    assert counts["skipped.dark_footprint"] == "2500"
+    assert counts["skipped.outside_scene"] == "1768"
+    assert "skipped.invalid_beam" not in counts
+
+
 def test_load_dataset_round_trip(tmp_path):
     out = tmp_path / "run"
     count = simulate_run(SMALL, out, seed=7)

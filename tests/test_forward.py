@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,16 @@ from netsar.forward import (
     MeasurementPatch,
     WaveformSpec,
     illuminated_pixels,
+    lit_pixel_index,
     synthesize_measurement,
 )
-from netsar.geometry import BaseStation, BeamSpec, EllipseFootprint, GroundPoint
+from netsar.geometry import (
+    BaseStation,
+    BeamSpec,
+    EllipseFootprint,
+    GroundPoint,
+    points_in_footprint,
+)
 from netsar.scene import Scene
 
 WF = WaveformSpec(carrier_frequency=5e9, subcarrier_count=16, subcarrier_spacing=2e6)
@@ -131,6 +139,106 @@ def test_illuminated_pixels_reads_the_scene_it_is_given():
     assert pixels.shape == (0, 3) and values.size == 0
 
 
+def _grid_oracle(scene, footprint):
+    """points_in_footprint over every pixel center of the grid, row-major:
+    None when no center is inside, else the nonzero inside pixels' (n, 3)
+    positions and their values."""
+    xs, ys = scene.pixel_centers()
+    gx, gy = (g.ravel() for g in np.meshgrid(np.arange(xs.size), np.arange(ys.size), indexing="ij"))
+    inside = points_in_footprint(np.stack([xs[gx], ys[gy]], axis=1), footprint)
+    if not inside.any():
+        return None
+    gx, gy = gx[inside], gy[inside]
+    lit = scene.reflectivity[gx, gy] != 0
+    gx, gy = gx[lit], gy[lit]
+    heights = np.zeros(gx.size) if scene.height is None else scene.height[gx, gy]
+    return np.stack([xs[gx], ys[gy], heights], axis=1), scene.reflectivity[gx, gy]
+
+
+def _random_footprint(rng, kind, half, resolution):
+    """A footprint of one kind on a scene of half-extent ``half``: inside it,
+    straddling one of its four edges, wholly outside, narrower than a pixel
+    (semi-minor below resolution / sqrt(2)) anywhere over it, or a circle
+    about a pixel center whose radius is a whole number of pixels, so that
+    pixel centers lie exactly on its bounding box and on its rim."""
+    ecc = rng.uniform(0.0, 0.95)
+    a = rng.uniform(0.5, 12.0)
+    if kind == "rim":
+        ecc, a = 0.0, resolution * int(rng.integers(1, 7))
+        center = (rng.integers(0, round(2 * half / resolution), 2) + 0.5) * resolution - half
+    elif kind == "tiny":
+        a = rng.uniform(0.02, 0.99 * resolution / math.sqrt(2.0)) / math.sqrt(1.0 - ecc**2)
+        center = rng.uniform(-half - 1.0, half + 1.0, 2)
+    elif kind == "inside":
+        center = rng.uniform(-half + a, half - a, 2) if a < half else np.zeros(2)
+    elif kind == "outside":
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        distance = half * math.sqrt(2.0) + a + rng.uniform(0.01, 20.0)
+        center = distance * np.array([math.cos(angle), math.sin(angle)])
+    else:  # straddling edge `kind` = 0..3
+        axis, side = divmod(kind, 2)
+        center = rng.uniform(-half, half, 2)
+        center[axis] = (1 if side else -1) * half + rng.uniform(-a, a)
+    footprint = EllipseFootprint(
+        center=GroundPoint(float(center[0]), float(center[1])),
+        eccentricity=ecc,
+        semi_major=a,
+        semi_minor=a * math.sqrt(1.0 - ecc**2),
+        major_axis_azimuth=0.0 if kind == "rim" else rng.uniform(-math.pi, math.pi),
+    )
+    assert kind != "tiny" or footprint.semi_minor < resolution / math.sqrt(2.0)
+    return footprint
+
+
+@pytest.mark.parametrize("resolution", [1.0, 0.7])
+@pytest.mark.parametrize("heights", [False, True])
+def test_illuminated_pixels_matches_the_ellipse_test_over_every_pixel_center(resolution, heights):
+    rng = np.random.default_rng(int(10 * resolution) + heights)
+    extent = 30.0
+    n = math.ceil(extent / resolution)
+    refl = np.where(rng.random((n, n)) < 0.05, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0)
+    # a lit block wider than a footprint, for footprints inside lit ground
+    refl[2:14, 3:12] = np.exp(1j * rng.uniform(0, 2 * np.pi, (12, 9)))
+    height = np.where(rng.random((n, n)) < 0.3, rng.uniform(0, 5, (n, n)), 0.0) if heights else None
+    scene = Scene(extent=(extent, extent), resolution=resolution, reflectivity=refl, height=height)
+    index = lit_pixel_index(scene)
+    outcomes = Counter()
+    for kind in ["inside", "outside", "tiny", "rim", 0, 1, 2, 3]:
+        for _ in range(150):
+            footprint = _random_footprint(rng, kind, extent / 2, resolution)
+            expected = _grid_oracle(scene, footprint)
+            for given in (None, index):
+                if expected is None:
+                    with pytest.raises(EmptyFootprintError):
+                        illuminated_pixels(scene, footprint, given)
+                    continue
+                pixels, values = illuminated_pixels(scene, footprint, given)
+                assert pixels.shape == (values.size, 3) and values.dtype == complex
+                assert pixels.tobytes() == expected[0].tobytes(), footprint
+                assert values.tobytes() == expected[1].tobytes(), footprint
+            outcome = "raise" if expected is None else "lit" if expected[1].size else "empty"
+            outcomes[kind, outcome] += 1
+    # outside footprints only raise; tiny and straddling ones meet every outcome
+    met = {kind: {o for k, o in outcomes if k == kind} for kind, _ in outcomes}
+    assert met["outside"] == {"raise"}, outcomes
+    assert all(met[kind] == {"raise", "empty", "lit"} for kind in ["tiny", 0, 1, 2, 3]), outcomes
+    assert {"empty", "lit"} <= met["inside"], outcomes
+
+
+def test_illuminated_pixels_sees_a_reflectivity_changed_in_place():
+    scene = _sparse_scene([((0.0, 0.0), 1.0 + 0.0j), ((18.0, 18.0), 2.0j)])
+    before = illuminated_pixels(scene, FOOTPRINT)
+    assert before[1].tolist() == [1.0]
+    # light a pixel inside the footprint and darken the lit one, in place
+    scene.reflectivity[25, 24] = 3.0 - 1.0j
+    scene.reflectivity[20, 20] = 0.0
+    pixels, values = illuminated_pixels(scene, FOOTPRINT)
+    assert pixels.tolist() == [[5.5, 4.5, 0.0]] and values.tolist() == [3.0 - 1.0j]
+    scene.reflectivity[25, 24] = 0.0
+    pixels, values = illuminated_pixels(scene, FOOTPRINT)
+    assert pixels.shape == (0, 3) and values.size == 0
+
+
 def test_forward_empty_footprint_raises():
     scene = _sparse_scene([((0.0, 0.0), 1.0 + 0.0j)])
     tx, rx = _stations()
@@ -202,7 +310,7 @@ def _within_a_complex64_step(stored, expected, bound=1e-9):
     + [(WaveformSpec(carrier_frequency=2e6, subcarrier_count=37, subcarrier_spacing=3e6), 1e-12)],
     ids=["M1", "M7", "M37", "M300", "octaves"],
 )
-def test_split_phase_synthesis_matches_the_direct_sum(wf, bound):
+def test_both_synthesis_paths_match_the_direct_sum(wf, bound):
     # the exact path, and the stored path, whose phases split into
     # isqrt(M) low and ceil(M / isqrt(M)) high powers: counts that are
     # not a whole number of isqrt(M) columns leave trimmed ones

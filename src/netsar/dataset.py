@@ -223,10 +223,10 @@ def open_dataset(cfg: RunConfig, dataset: Path) -> Dataset:
     and its region center is that footprint's center. Columns besides
     PATCH_COLUMNS are ignored.
 
-    In this order, raises CorruptDatasetError when patches.csv lacks a
-    column or one of its rows is malformed (the channel is not a
-    configured channel, a station is not in the configured network, the
-    tilt or planar angle is not finite, or the tilt makes no valid
+    In this order, raises CorruptDatasetError when patches.csv does not
+    decode as text, lacks a column or has a malformed row (the channel is
+    not a configured channel, a station is not in the configured network,
+    the tilt or planar angle is not finite, or the tilt makes no valid
     beam); when the header of samples.npy is unreadable, is not the .npy
     1.0 C-order layout simulate_run writes, is not of a complex dtype
     (so nothing is unpickled) or does not give one (antenna, subcarrier)
@@ -245,7 +245,12 @@ def open_dataset(cfg: RunConfig, dataset: Path) -> Dataset:
     for given, simulated in pairs:
         if given != simulated and not given.startswith(("reconstruction.", "output_dir")):
             raise ConfigError(f"{given} conflicts with the dataset's {simulated}")
-    header, table = read_table(dataset / "patches.csv")
+    try:
+        header, table = read_table(dataset / "patches.csv")
+    except UnicodeDecodeError as exc:
+        raise CorruptDatasetError(
+            f"patches.csv in {dataset} is not {exc.encoding} text (byte {exc.start})"
+        ) from None
     missing = [name for name in PATCH_COLUMNS if name not in header]
     if missing:
         raise CorruptDatasetError(f"patches.csv in {dataset} has no column {missing}")

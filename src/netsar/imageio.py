@@ -13,7 +13,8 @@ def write_pgm(field: np.ndarray, path) -> None:
     ``field`` is indexed [ix, iy]; rows of the image run over y from top
     (largest y) to bottom so the output reads like a map. Pixels are
     scaled ``field / peak * 255.0`` and truncated, a block of field rows
-    at a time, so no full-size float copy of the field is made.
+    at a time, so no full-size float copy of the field is made. A block
+    with no nonzero value is skipped: its pixels are already 0.
     """
     field = np.asarray(field, dtype=float)
     peak = field.max()
@@ -22,7 +23,8 @@ def write_pgm(field: np.ndarray, path) -> None:
         view = img[::-1].T  # view[ix, iy] is the pixel of field[ix, iy]
         for start in range(0, field.shape[0], 64):
             block = slice(start, start + 64)
-            view[block] = field[block] / peak * 255.0
+            if field[block].any():
+                view[block] = field[block] / peak * 255.0
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
         fh.write(img)

@@ -187,6 +187,13 @@ def _keystone_grid(patch: MeasurementPatch):
 
     Node (i, j) sits at the sample cloud's minimum corner plus
     2*pi * (i, j) * steps in the patch frame; steps are in cycles per metre.
+    The grid is formed in two stages. Along each ray l (slope-sorted) at
+    every node row i, the row's range wavenumber k1_i falls at subcarrier
+    index t of the ray; the ray's samples are interpolated linearly in
+    subcarrier index there, once per (row, ray). Across rays, node (i, j)
+    takes the two rays whose slopes bracket k2_j / k1_i and interpolates
+    their row-i values linearly in slope. A node is zero unless its slope
+    and both of its rays' t lie within the measured lattice.
     """
     n_ant, M = patch.samples.shape
     if n_ant < 2:
@@ -195,8 +202,9 @@ def _keystone_grid(patch: MeasurementPatch):
         raise ValueError("procedure 2 needs at least two subcarriers")
     frame = RotatedFrame(patch.direction)
     coords = frame.to_patch(wavenumber_vectors(patch)[..., :2])  # (N_a, M, 2)
-    corner = coords.min(axis=(0, 1))
-    span = coords.max(axis=(0, 1)) - corner
+    # one component at a time: a reduce over two axes at once is slower
+    corner = np.array([coords[..., 0].min(), coords[..., 1].min()])
+    span = np.array([coords[..., 0].max(), coords[..., 1].max()]) - corner
     steps = span / (np.array([M, n_ant]) - 1) / (2.0 * np.pi)
     if steps.min() < 1e-15 or coords[:, 0, 0].min() <= 0:
         raise DegenerateStepError(f"measured sample cloud is degenerate: spans {span}")
@@ -204,22 +212,29 @@ def _keystone_grid(patch: MeasurementPatch):
     # antenna l's samples lie on the ray k_m * r_l; sort the rays by slope
     slopes = coords[:, 0, 1] / coords[:, 0, 0]
     order = np.argsort(slopes)
-    slopes, s, first = slopes[order], patch.samples[order], coords[order, 0, 0]
+    slopes, first = slopes[order], coords[order, 0, 0]
     k = patch.waveform.wavenumbers()
     k1 = corner[0] + np.arange(M)[:, None] * (2.0 * np.pi * steps[0])
     k2 = corner[1] + np.arange(n_ant)[None, :] * (2.0 * np.pi * steps[1])
+
+    # along: subcarrier index (k1 / r_l[0] - k_0) / dk of row i on ray l,
+    # whose first sample sits at range k_0 * r_l[0]
+    t = (k1 * k[0] / first - k[0]) / (k[1] - k[0])
+    on_ray = ((t >= -1e-9) & (t <= M - 1 + 1e-9)).ravel()
+    t = np.clip(t, 0, M - 1)
+    m0 = np.minimum(t.astype(int), M - 2)
+    at = order * M + m0  # flat index of sample (order[l], m0) in patch.samples
+    flat = patch.samples.ravel()
+    along = ((m0 + 1 - t) * flat[at] + (t - m0) * flat[at + 1]).ravel()
+
+    # across: node (i, j) between rays lo and lo + 1 of row i
     lo = np.clip(np.searchsorted(slopes, k2 / k1, side="right") - 1, 0, n_ant - 2)
     w = (k2 / k1 - slopes[lo]) / (slopes[lo + 1] - slopes[lo])
-    inside = (w >= -1e-9) & (w <= 1 + 1e-9)
-    grid = np.zeros((M, n_ant), dtype=complex)
-    for ray, weight in ((lo, 1.0 - w), (lo + 1, w)):
-        # subcarrier index (k1 / r_l[0] - k_0) / dk of the node on ray l,
-        # whose first sample sits at range k_0 * r_l[0]
-        t = (k1 * k[0] / first[ray] - k[0]) / (k[1] - k[0])
-        inside &= (t >= -1e-9) & (t <= M - 1 + 1e-9)
-        t = np.clip(t, 0, M - 1)
-        m0 = np.minimum(t.astype(int), M - 2)
-        grid += weight * ((m0 + 1 - t) * s[ray, m0] + (t - m0) * s[ray, m0 + 1])
+    lo += np.arange(0, M * n_ant, n_ant)[:, None]  # flat (row, ray) index
+    inside = (w >= -1e-9) & (w <= 1 + 1e-9) & on_ray[lo] & on_ray[lo + 1]
+    # 0 + first term, as an accumulation from zero: a -0.0 part becomes +0.0
+    grid = 0.0 + (1.0 - w) * along[lo]
+    grid += w * along[lo + 1]
     grid[~inside] = 0.0
     return grid, frame, steps
 
@@ -261,7 +276,10 @@ def fuse_images(
     axis-aligned bounding box of the footprint ellipse, half-widths
     hypot(a cos(psi), b sin(psi)) and hypot(a sin(psi), b cos(psi)),
     widened by the image's largest pixel spacing: the cross-range
-    sidelobes that reach beyond the lit ground are left out.
+    sidelobes that reach beyond the lit ground are left out. The grid is
+    averaged and renormalized only inside the bounding box of the boxes
+    summed into it (the sample boxes, or the groups' boxes for
+    "product"); outside it every pixel is +0.0.
     """
     if method not in ("mean", "product"):
         raise ValueError(f"unknown fusion method: {method!r}")
@@ -294,6 +312,7 @@ def fuse_images(
     # running (box low corner, box high corner, product) of each footprint group
     groups: dict[EllipseFootprint | None, tuple] = {}
     count = 0
+    lit = None  # (low corner, high corner) of the union of the boxes summed
     # no enumerate: its reused result tuple would keep the last image
     # alive while the iterable forms the next one
     for img in images:
@@ -301,6 +320,7 @@ def fuse_images(
         count += 1
         if method == "mean":
             fused[_box(lo, hi)] += sampled
+            lit = _union(lit, lo, hi)
         elif img.footprint not in groups:
             groups[img.footprint] = lo, hi, sampled
         else:
@@ -315,10 +335,14 @@ def fuse_images(
         raise EmptyInputError("at least one image is required")
     for lo, hi, product in groups.values():
         fused[_box(lo, hi)] += product
-    fused /= count if method == "mean" else len(groups)
-    peak = fused.max()
-    if peak > 0:
-        fused /= peak
+        lit = _union(lit, lo, hi)
+    # outside the union of the boxes summed into it the grid is +0.0
+    if lit is not None:
+        box = fused[_box(*lit)]
+        box /= count if method == "mean" else len(groups)
+        peak = box.max()
+        if peak > 0:
+            box /= peak
     return ReconstructedImage(
         magnitude=fused,
         pixel_spacing=(spacing, spacing),
@@ -355,6 +379,15 @@ def _bilinear(image: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def _box(lo, hi) -> tuple[slice, slice]:
     return slice(lo[0], hi[0]), slice(lo[1], hi[1])
+
+
+def _union(box, lo, hi):
+    """Bounding box of ``box`` (None for none) and the box [lo, hi), if not empty."""
+    if np.any(hi <= lo):
+        return box
+    if box is None:
+        return lo, hi
+    return np.minimum(box[0], lo), np.maximum(box[1], hi)
 
 
 def _sample_box(img: ReconstructedImage, shape, spacing: float, center: GroundPoint):

@@ -507,6 +507,22 @@ def test_load_dataset_rejects_an_empty_patches_file(tmp_path):
         load_dataset(SMALL, out)
 
 
+def test_main_reconstruct_refuses_a_patches_file_that_is_not_text_in_one_line(
+    small_dataset, tmp_path, capsys
+):
+    out = shutil.copytree(small_dataset, tmp_path / "run")
+    table = bytearray((out / "patches.csv").read_bytes())
+    table[60] = 0xFF
+    (out / "patches.csv").write_bytes(bytes(table))
+    rec = tmp_path / "rec"
+    rc = main(["reconstruct", "--dataset", str(out), "--out", str(rec)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert err.startswith(f"netsar: CorruptDatasetError: patches.csv in {out} is not ")
+    assert "(byte 60)" in err
+    assert not rec.exists()
+
+
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("small") / "run"

@@ -256,6 +256,76 @@ def test_keystone_grid_matches_griddata_on_a_simulated_patch(tmp_path):
     _assert_grid_matches_griddata(patch)
 
 
+def _keystone_grid_per_node(patch):
+    """Reference keystone grid: each node interpolates along both of its
+    bracketing rays on its own, with two 2-D gathers per ray."""
+    n_ant, M = patch.samples.shape
+    frame = RotatedFrame(patch.direction)
+    coords = frame.to_patch(wavenumber_vectors(patch)[..., :2])
+    corner = coords.min(axis=(0, 1))
+    span = coords.max(axis=(0, 1)) - corner
+    steps = span / (np.array([M, n_ant]) - 1) / (2.0 * np.pi)
+    slopes = coords[:, 0, 1] / coords[:, 0, 0]
+    order = np.argsort(slopes)
+    slopes, s, first = slopes[order], patch.samples[order], coords[order, 0, 0]
+    k = patch.waveform.wavenumbers()
+    k1 = corner[0] + np.arange(M)[:, None] * (2.0 * np.pi * steps[0])
+    k2 = corner[1] + np.arange(n_ant)[None, :] * (2.0 * np.pi * steps[1])
+    lo = np.clip(np.searchsorted(slopes, k2 / k1, side="right") - 1, 0, n_ant - 2)
+    w = (k2 / k1 - slopes[lo]) / (slopes[lo + 1] - slopes[lo])
+    inside = (w >= -1e-9) & (w <= 1 + 1e-9)
+    grid = np.zeros((M, n_ant), dtype=complex)
+    for ray, weight in ((lo, 1.0 - w), (lo + 1, w)):
+        t = (k1 * k[0] / first[ray] - k[0]) / (k[1] - k[0])
+        inside &= (t >= -1e-9) & (t <= M - 1 + 1e-9)
+        t = np.clip(t, 0, M - 1)
+        m0 = np.minimum(t.astype(int), M - 2)
+        grid += weight * ((m0 + 1 - t) * s[ray, m0] + (t - m0) * s[ray, m0 + 1])
+    grid[~inside] = 0.0
+    return grid, steps
+
+
+def _assert_grid_is_the_per_node_grid(patch):
+    """Bit for bit, signed zeros included; returns the share of zero nodes."""
+    grid, _, steps = _keystone_grid(patch)
+    ref, ref_steps = _keystone_grid_per_node(patch)
+    assert grid.dtype == ref.dtype and grid.shape == ref.shape
+    assert np.array_equal(grid.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(steps.view(np.uint64), ref_steps.view(np.uint64))
+    return np.count_nonzero(grid == 0) / grid.size
+
+
+def test_keystone_grid_is_the_per_node_grid_to_the_bit(tmp_path):
+    rng = np.random.default_rng(2)
+    zero_shares = []
+    for _ in range(20):
+        p = tuple(rng.integers(-24, 24, size=2) * 0.25 + 0.125)
+        az_tx = rng.uniform(0, 2 * math.pi)
+        az_rx = az_tx + rng.uniform(0.05, 0.6)
+        r_tx = rng.uniform(300.0, 500.0)
+        r_rx = rng.uniform(300.0, 500.0)
+        tx_xy = (r_tx * math.cos(az_tx), r_tx * math.sin(az_tx))
+        rx_xy = (r_rx * math.cos(az_rx), r_rx * math.sin(az_rx))
+        zero_shares.append(_assert_grid_is_the_per_node_grid(_aligned(p, tx_xy, rx_xy, n_ant=48)))
+    # the lattice's keystone leaves nodes outside it on every geometry
+    assert min(zero_shares) > 0 and max(zero_shares) < 1
+    # two antennas: one pair of rays brackets every node, and the grid's
+    # two columns meet the lattice only at its corners
+    _assert_grid_is_the_per_node_grid(
+        _aligned((0.125, 0.125), (400.0, 0.0), (380.0, 40.0), n_ant=2)
+    )
+    # three antennas: a third of the nodes, the middle column's, fall inside
+    three = _aligned((1.125, -0.375), (400.0, 0.0), (0.0, 420.0), n_ant=3)
+    assert 0.5 < _assert_grid_is_the_per_node_grid(three) < 1
+    base = RunConfig()
+    cfg = dataclasses.replace(
+        base, schedule=dataclasses.replace(base.schedule, slot_count=20)
+    )
+    assert simulate_run(cfg, tmp_path, cfg.schedule.seed) > 0
+    for patch in load_dataset(cfg, tmp_path):
+        assert 0 < _assert_grid_is_the_per_node_grid(align_and_place(patch)) < 1
+
+
 def _fuse_full_grid(images, extent, spacing, center, method, crop=False):
     """Reference fusion: every image sampled at every target pixel.
 

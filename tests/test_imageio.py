@@ -35,8 +35,11 @@ def _reference_pgm_pixels(field):
         np.concatenate([np.geomspace(1e-300, 1e300, 129), np.arange(256.0) / 255.0]).reshape(
             5, 77
         ),
+        # zero but for a block of rows 70-148, which straddles the 64-row
+        # blocks' edges at 128 and leaves blocks 0-63 and 192-199 zero
+        np.pad(np.random.default_rng(6).random((79, 30)), ((70, 51), (9, 51))),
     ],
-    ids=["130x65", "65x130", "1x1", "all-zero", "dynamic-range"],
+    ids=["130x65", "65x130", "1x1", "all-zero", "dynamic-range", "sparse"],
 )
 def test_write_pgm_bytes_equal_the_full_size_expression(tmp_path, field):
     path = tmp_path / "f.pgm"

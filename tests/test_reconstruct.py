@@ -317,6 +317,11 @@ def test_keystone_grid_is_the_per_node_grid_to_the_bit(tmp_path):
     # three antennas: a third of the nodes, the middle column's, fall inside
     three = _aligned((1.125, -0.375), (400.0, 0.0), (0.0, 420.0), n_ant=3)
     assert 0.5 < _assert_grid_is_the_per_node_grid(three) < 1
+    # negative real samples with -0.0 imaginary parts: every product's
+    # imaginary part is -0.0, and a node's is +0.0 only as a sum from zero
+    signed = _aligned((0.125, 0.125), (400.0, 0.0), (380.0, 40.0), n_ant=16)
+    signed = dataclasses.replace(signed, samples=np.negative(np.abs(signed.samples) + 0j))
+    _assert_grid_is_the_per_node_grid(signed)
     base = RunConfig()
     cfg = dataclasses.replace(
         base, schedule=dataclasses.replace(base.schedule, slot_count=20)
@@ -502,6 +507,42 @@ def test_fuse_product_multiplies_within_a_footprint_group_and_averages_across(me
     # the two beams share no ground, and each still shows
     west, east = np.split(fused.magnitude, 2)
     assert west.any() and east.any()
+
+
+@pytest.mark.parametrize("method", ["mean", "product"])
+def test_fuse_images_leaves_the_grid_outside_every_box_at_positive_zero(method):
+    """Beams that light one corner of the grid: fusion normalizes only the
+    box that holds them, and every other pixel stays +0.0."""
+    rng = np.random.default_rng(19)
+    west, south = _footprint(-5.0, -4.0, 2.5, 0.5, 0.3), _footprint(-2.5, -6.0, 2.0, 0.3, 1.2)
+    images = [
+        ReconstructedImage(
+            magnitude=rng.random((60, 60)),
+            pixel_spacing=(0.2, 0.2),
+            origin=GroundPoint(x, y),
+            frame=RotatedFrame(np.array([math.cos(a), math.sin(a)])),
+            footprint=f,
+        )
+        for x, y, a, f in (
+            (-5.0, -4.0, 0.2, west), (-2.5, -6.0, 2.0, south), (-4.6, -3.7, 1.1, west),
+        )
+    ]
+    extent, spacing, center = (20.0, 18.0), 0.1, GroundPoint(0.5, -0.25)
+    fused = fuse_images(images, extent, spacing, center=center, method=method).magnitude
+    ref = _fuse_full_grid(images, extent, spacing, center, method, crop=True)
+    assert fused.shape == ref.shape
+    assert np.abs(fused - ref).max() <= 1e-12
+    nx, ny = fused.shape
+    px, py = np.meshgrid(
+        (np.arange(nx) - nx // 2) * spacing + center.x,
+        (np.arange(ny) - ny // 2) * spacing + center.y,
+        indexing="ij",
+    )
+    pts = np.stack([px.ravel(), py.ravel()], axis=1)
+    boxed = np.any([_in_footprint_box(pts, img) for img in images], axis=0)
+    outside = fused.ravel()[~boxed]
+    assert outside.size > 0.8 * fused.size
+    assert not outside.any() and not np.signbit(outside).any()
 
 
 def _interleaved_groups(seed):

@@ -47,7 +47,7 @@ from .errors import (
 from .forward import illuminated_pixels, lit_pixel_index, synthesize_measurement
 from .geometry import BeamSpec, beam_footprint
 from .imageio import write_pgm, write_table
-from .isar import VoxelGrid, solve_voxel_grid, voxel_grid_slices_to_pgm, voxel_grid_to_csv
+from .isar import VoxelGrid, solve_voxel_grid, voxel_grid_to_csv
 from .patches import align_and_place, wavenumber_vectors
 from .reconstruct import (
     estimate_height,
@@ -232,16 +232,119 @@ class _PatchImages:
         return (procedure2_per_patch(align_and_place(p), pad_factor=2) for p in self.patches)
 
 
+def _intersect(cfg: RunConfig, data: Dataset):
+    profiles = [range_profiles(align_and_place(p), threshold_db=12.0) for p in data]
+    window = SPEED_OF_LIGHT / (2.0 * cfg.waveform.subcarrier_spacing_hz)
+    estimates, diag = intersect_lines(
+        profiles,
+        cluster_radius=3.0,
+        min_support=3,
+        min_crossing_sine=0.3,
+        max_offset=0.45 * window,
+        pair_max_separation=0.9 * window,
+    )
+    rows = [[e.position.x, e.position.y, e.score, e.supporting_lines] for e in estimates]
+    header = ["x", "y", "score", "supporting_lines"]
+    return {"estimates.csv": lambda path: write_table(path, header, rows)}, [
+        f"estimates = {len(estimates)}",
+        f"intersections = {diag.intersections}",
+        f"clusters = {diag.clusters}",
+        f"skipped_parallel = {diag.skipped_parallel}",
+    ]
+
+
+def _procedure2(cfg: RunConfig, data: Dataset):
+    magnitude = fuse_images(
+        _PatchImages(data),
+        extent=(cfg.scene.extent_m, cfg.scene.extent_m),
+        spacing=cfg.reconstruction.pixel_spacing_m,
+        method=cfg.reconstruction.fusion_method,
+    ).magnitude
+    return {"fused.pgm": partial(write_pgm, magnitude)}, [f"fused_pixels = {magnitude.shape}"]
+
+
+def _procedure1(cfg: RunConfig, data: Dataset):
+    group = data.patches(_largest_beam_group(data.footprints))
+    aligned = [align_and_place(p) for p in group]
+    wf_top = channel_waveform(cfg, cfg.schedule.channel_count - 1)
+    k_max = 4.0 * np.pi * (wf_top.carrier_frequency + wf_top.bandwidth) / SPEED_OF_LIGHT
+    S = 512
+    pixel_extent = 0.9 * S * 2.0 * np.pi / k_max
+    image = procedure1_invert(aligned, S, pixel_extent)
+    return {"procedure1.pgm": partial(write_pgm, image.magnitude)}, [
+        f"procedure1_patches = {len(aligned)}",
+        f"pixel_extent_m = {pixel_extent!r}",
+    ]
+
+
+def _height(cfg: RunConfig, data: Dataset):
+    for _ in data:  # the planes come from scene.csv; the samples are only verified
+        pass
+    truth = scene_from_csv(
+        data.path / "scene.csv", (cfg.scene.extent_m, cfg.scene.extent_m), cfg.scene.resolution_m
+    )
+    height = truth.height if truth.height is not None else np.zeros(truth.shape)
+    base = np.abs(truth.reflectivity)
+    step = 0.1  # rad/m between height planes
+    planes = np.stack([base * np.exp(-1j * i * step * height)
+                       for i in range(cfg.reconstruction.height_plane_count)])
+    est, valid = estimate_height(planes, step)
+    rows = [[int(ix), int(iy), float(est[ix, iy]), float(height[ix, iy])]
+            for ix, iy in zip(*np.nonzero(valid))]
+    header = ["x_index", "y_index", "estimate", "truth"]
+    return {
+        "height.csv": lambda path: write_table(path, header, rows),
+        "height.pgm": partial(write_pgm, np.where(valid, est, 0.0)),
+    }, [f"height_pixels = {int(valid.sum())}"]
+
+
+def _isar(cfg: RunConfig, data: Dataset):
+    group = list(data.patches(_largest_beam_group(data.footprints)))
+    kvecs = np.concatenate([wavenumber_vectors(p).reshape(-1, 3) for p in group])
+    values = np.concatenate([align_and_place(p).samples.reshape(-1) for p in group])
+    stride = max(1, kvecs.shape[0] // 1500)
+    # copies, so the full arrays are freed before the solve
+    kvecs, values = kvecs[::stride].copy(), values[::stride].copy()
+    grid = VoxelGrid(M_side=8, spacing=cfg.scene.extent_m / 16.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # aligned samples carry exp(+j k . p): negate k for the e^{-j} model
+        voxels, rank = solve_voxel_grid(-kvecs, values, grid)
+    artifacts = {"voxels.csv": partial(voxel_grid_to_csv, voxels)}
+    for n in range(grid.M_side):  # one magnitude image per z slice
+        artifacts[f"voxels_{n:03d}.pgm"] = partial(write_pgm, np.abs(voxels.values[:, :, n]))
+    # the solve's last bits depend on how BLAS splits it across threads
+    blas_threads = (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+                    or f"cpus:{os.cpu_count()}")
+    return artifacts, [
+        f"isar_samples = {values.size}",
+        f"isar_rank = {rank}",
+        f"isar_blas_threads = {blas_threads}",
+    ] + [f"isar_warning = {w.message}" for w in caught]
+
+
+# algorithm -> fn(cfg, data) -> ({artifact name: writer(path)}, report lines).
+# An entry is never given the output directory: it reads the dataset, and
+# reconstruct_run writes its artifacts once samples.npy has been verified.
+_RECONSTRUCTIONS = {
+    "procedure1": _procedure1,
+    "procedure2": _procedure2,
+    "intersect": _intersect,
+    "3d": _height,
+    "isar": _isar,
+}
+
+
 def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None:
-    """Dispatch the configured algorithm over a dataset and write artifacts.
+    """Run the configured algorithm's _RECONSTRUCTIONS entry; write its artifacts.
 
     The dataset is checked but for its samples first (open_dataset); the
     config's simulation sections must equal the dataset's config.txt.
     Then samples.npy is streamed once through the algorithm, which keeps
     only what it needs: intersect and procedure2 one patch at a time,
     procedure1 and isar the rows of the largest beam group, 3d none.
-    Out is created, and the artifacts written, only after the last row,
-    once samples.npy has matched its checksum, so a refused dataset
+    Out is created, and each artifact the entry names written, only after
+    the last row, once samples.npy has matched its checksum, so a refused dataset
     leaves no output directory. An out that resolves to the dataset
     directory, holds another dataset's samples.npy, or is or lies below an
     existing file, raises ConfigError before anything is read or written.
@@ -256,128 +359,15 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
         )
     _refuse_a_file_out(out)
     data = open_dataset(cfg, dataset)
-    rcfg = cfg.reconstruction
-    report = _report_header(cfg, len(data))
-    algorithm = rcfg.algorithm
-    writes = []  # (artifact names, writer), each called once samples.npy is verified
-
-    if algorithm == "intersect":
-        profiles = [range_profiles(align_and_place(p), threshold_db=12.0) for p in data]
-        window = SPEED_OF_LIGHT / (2.0 * cfg.waveform.subcarrier_spacing_hz)
-        estimates, diag = intersect_lines(
-            profiles,
-            cluster_radius=3.0,
-            min_support=3,
-            min_crossing_sine=0.3,
-            max_offset=0.45 * window,
-            pair_max_separation=0.9 * window,
-        )
-        writes.append((["estimates.csv"], partial(
-            write_table,
-            out / "estimates.csv",
-            ["x", "y", "score", "supporting_lines"],
-            [
-                [e.position.x, e.position.y, e.score, e.supporting_lines]
-                for e in estimates
-            ],
-        )))
-        report += [
-            f"estimates = {len(estimates)}",
-            f"intersections = {diag.intersections}",
-            f"clusters = {diag.clusters}",
-            f"skipped_parallel = {diag.skipped_parallel}",
-        ]
-    elif algorithm == "procedure2":
-        fused = fuse_images(
-            _PatchImages(data),
-            extent=(cfg.scene.extent_m, cfg.scene.extent_m),
-            spacing=rcfg.pixel_spacing_m,
-            method=rcfg.fusion_method,
-        )
-        writes.append((["fused.pgm"], partial(write_pgm, fused.magnitude, out / "fused.pgm")))
-        report.append(f"fused_pixels = {fused.magnitude.shape}")
-    elif algorithm == "procedure1":
-        group = data.patches(_largest_beam_group(data.footprints))
-        aligned = [align_and_place(p) for p in group]
-        wf_top = channel_waveform(cfg, cfg.schedule.channel_count - 1)
-        k_max = (
-            4.0 * np.pi * (wf_top.carrier_frequency + wf_top.bandwidth) / SPEED_OF_LIGHT
-        )
-        S = 512
-        pixel_extent = 0.9 * S * 2.0 * np.pi / k_max
-        image = procedure1_invert(aligned, S, pixel_extent)
-        writes.append(
-            (["procedure1.pgm"], partial(write_pgm, image.magnitude, out / "procedure1.pgm"))
-        )
-        report += [
-            f"procedure1_patches = {len(aligned)}",
-            f"pixel_extent_m = {pixel_extent!r}",
-        ]
-    elif algorithm == "3d":
-        for _ in data:  # the planes come from scene.csv; the samples are only verified
-            pass
-        truth = scene_from_csv(
-            dataset / "scene.csv",
-            (cfg.scene.extent_m, cfg.scene.extent_m),
-            cfg.scene.resolution_m,
-        )
-        height = (
-            truth.height if truth.height is not None else np.zeros(truth.shape)
-        )
-        base = np.abs(truth.reflectivity)
-        step = 0.1  # rad/m between height planes
-        planes = np.stack(
-            [
-                base * np.exp(-1j * i * step * height)
-                for i in range(rcfg.height_plane_count)
-            ]
-        )
-        est, valid = estimate_height(planes, step)
-        rows = []
-        for ix, iy in zip(*np.nonzero(valid)):
-            rows.append([int(ix), int(iy), float(est[ix, iy]), float(height[ix, iy])])
-        writes.append((["height.csv"], partial(
-            write_table, out / "height.csv", ["x_index", "y_index", "estimate", "truth"], rows
-        )))
-        filled = np.where(valid, est, 0.0)
-        writes.append((["height.pgm"], partial(write_pgm, filled, out / "height.pgm")))
-        report.append(f"height_pixels = {int(valid.sum())}")
-    elif algorithm == "isar":
-        group = list(data.patches(_largest_beam_group(data.footprints)))
-        kvecs = np.concatenate([wavenumber_vectors(p).reshape(-1, 3) for p in group])
-        values = np.concatenate([align_and_place(p).samples.reshape(-1) for p in group])
-        stride = max(1, kvecs.shape[0] // 1500)
-        # copies, so the full arrays are freed before the solve
-        kvecs, values = kvecs[::stride].copy(), values[::stride].copy()
-        grid = VoxelGrid(M_side=8, spacing=cfg.scene.extent_m / 16.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            # aligned samples carry exp(+j k . p): negate k for the e^{-j} model
-            voxels, rank = solve_voxel_grid(-kvecs, values, grid)
-        writes.append((["voxels.csv"], partial(voxel_grid_to_csv, voxels, out / "voxels.csv")))
-        slices = [f"voxels_{n:03d}.pgm" for n in range(grid.M_side)]
-        writes.append((slices, partial(voxel_grid_slices_to_pgm, voxels, out)))
-        # the solve's last bits depend on how BLAS splits it across threads
-        blas_threads = (
-            os.environ.get("OPENBLAS_NUM_THREADS")
-            or os.environ.get("OMP_NUM_THREADS")
-            or f"cpus:{os.cpu_count()}"
-        )
-        report += [
-            f"isar_samples = {values.size}",
-            f"isar_rank = {rank}",
-            f"isar_blas_threads = {blas_threads}",
-        ]
-        report += [f"isar_warning = {w.message}" for w in caught]
-
+    artifacts, report = _RECONSTRUCTIONS[cfg.reconstruction.algorithm](cfg, data)
     out.mkdir(parents=True, exist_ok=True)
-    names = ["report.txt"]
-    for written, write in writes:
-        write()
-        names += written
+    for name, write in artifacts.items():
+        write(out / name)
+    report = _report_header(cfg, len(data)) + report
     (out / "report.txt").write_text("\n".join(report) + "\n")
     write_manifest(
-        out, cfg, seed, [f"dataset_manifest = {_sha256(dataset / 'manifest.txt')}"], names
+        out, cfg, seed, [f"dataset_manifest = {_sha256(dataset / 'manifest.txt')}"],
+        ["report.txt", *artifacts],
     )
 
 

@@ -106,14 +106,10 @@ def write_manifest(
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _manifest_checksums(path: Path) -> dict[str, str]:
-    """The artifact checksums a manifest records, by artifact name."""
-    checksums = {}
-    for line in path.read_bytes().decode(errors="replace").splitlines():
-        key, _, value = line.partition(" = ")
-        if key.startswith("checksum."):
-            checksums[key.removeprefix("checksum.")] = value
-    return checksums
+def _read_manifest(path: Path) -> dict[str, str]:
+    """Every ``key = value`` line of a manifest, by key."""
+    lines = path.read_bytes().decode(errors="replace").splitlines()
+    return dict(line.partition(" = ")[::2] for line in lines)
 
 
 # ---------------------------------------------------------------- writing
@@ -151,18 +147,18 @@ def _save_npy(path: Path, shape: tuple[int, ...], blocks) -> str:
 class Dataset:
     """A dataset checked in everything but its sample values.
 
-    Its rows are those of patches.csv, in order: ``len`` counts them and
-    ``footprints`` holds each row's beam footprint. Iterating it, or
-    ``patches(rows)``, reads samples.npy once, in row order: each row is
-    read into its own array of the stored dtype, hashed and checked for
-    finite values, and yielded as a MeasurementPatch, so a caller holds
-    only the patches it keeps. The file's checksum is compared after the
+    ``path`` is the dataset directory. Its rows are those of patches.csv,
+    in order: ``len`` counts them and ``footprints`` holds each row's
+    beam footprint. Iterating it, or ``patches(rows)``, reads samples.npy
+    once, in row order: each row is read into its own array of the
+    stored dtype, hashed and checked for finite values, and yielded as a
+    MeasurementPatch, so a caller holds only the patches it keeps. The file's checksum is compared after the
     last row, so a caller must write nothing until iteration has ended.
     """
 
     def __init__(self, path: Path, rows: list[tuple], header: bytes, dtype: np.dtype,
                  checksum: str):
-        self._path = path
+        self.path = path
         self._rows = rows  # (tx, rx, waveform, footprint) per patches.csv row
         self._header = header  # samples.npy up to its first sample
         self._dtype = dtype
@@ -187,11 +183,11 @@ class Dataset:
         does not match the checksum manifest.txt records.
         """
         wanted = range(len(self._rows)) if rows is None else set(rows)
-        where = f"samples.npy in {self._path}"
+        where = f"samples.npy in {self.path}"
         # the parts' float dtype: np.isfinite runs about twice as fast on it
         part = np.empty(0, self._dtype).real.dtype
         digest = hashlib.sha256(self._header)
-        with open(self._path / "samples.npy", "rb") as fh:
+        with open(self.path / "samples.npy", "rb") as fh:
             fh.seek(len(self._header))
             for i, (tx, rx, wf, footprint) in enumerate(self._rows):
                 samples = np.empty((rx.antenna_count, wf.subcarrier_count), self._dtype)
@@ -223,21 +219,33 @@ def open_dataset(cfg: RunConfig, dataset: Path) -> Dataset:
     and its region center is that footprint's center. Columns besides
     PATCH_COLUMNS are ignored.
 
-    In this order, raises CorruptDatasetError when patches.csv does not
-    decode as text, lacks a column or has a malformed row (the channel is
-    not a configured channel, a station is not in the configured network,
-    the tilt or planar angle is not finite, or the tilt makes no valid
-    beam); when the header of samples.npy is unreadable, is not the .npy
-    1.0 C-order layout simulate_run writes, is not of a complex dtype
-    (so nothing is unpickled) or does not give one (antenna, subcarrier)
-    grid per row; and when manifest.txt records no checksum of
-    samples.npy, patches.csv or config.txt, or the latter two do not
-    match theirs. The returned Dataset checks the samples as it reads
-    them.
+    manifest.txt is read first, and each file's bytes are checked before
+    they are parsed. In this order, raises CorruptDatasetError when
+    manifest.txt records no checksum of samples.npy, patches.csv or
+    config.txt, or the latter two do not match theirs (so any changed
+    byte of either is refused here); then ConfigError as above; then
+    CorruptDatasetError when patches.csv does not decode as text, lacks a
+    column, has a row count other than the patch_count manifest.txt
+    records, or has a malformed row (the channel is not a configured
+    channel, a station is not in the configured network, the tilt or
+    planar angle is not finite, or the tilt makes no valid beam); and
+    when the header of samples.npy is unreadable, is not the .npy 1.0
+    C-order layout simulate_run writes, is not of a complex dtype (so
+    nothing is unpickled) or does not give one (antenna, subcarrier) grid
+    per row. The returned Dataset checks the samples as it reads them.
     """
     for name in ("patches.csv", "samples.npy", "config.txt", "manifest.txt"):
         if not (dataset / name).is_file():
             raise MissingDatasetError(f"no {name} in dataset {dataset}")
+    recorded = _read_manifest(dataset / "manifest.txt")
+    for name in ("samples.npy", "patches.csv", "config.txt"):
+        checksum = recorded.get(f"checksum.{name}")
+        if checksum is None:
+            raise CorruptDatasetError(f"manifest.txt in {dataset} records no checksum of {name}")
+        if name != "samples.npy" and checksum != _sha256(dataset / name):
+            raise CorruptDatasetError(
+                f"{name} in {dataset} does not match the checksum manifest.txt records"
+            )
     pairs = zip(
         serialize_config(cfg).splitlines(),
         serialize_config(load_config(dataset / "config.txt")).splitlines(),
@@ -254,6 +262,11 @@ def open_dataset(cfg: RunConfig, dataset: Path) -> Dataset:
     missing = [name for name in PATCH_COLUMNS if name not in header]
     if missing:
         raise CorruptDatasetError(f"patches.csv in {dataset} has no column {missing}")
+    if recorded.get("patch_count") != str(len(table)):
+        raise CorruptDatasetError(
+            f"patches.csv in {dataset} has {len(table)} rows; manifest.txt records "
+            f"patch_count = {recorded.get('patch_count')}"
+        )
     if not table:
         raise MissingDatasetError(f"dataset at {dataset} contains no patches")
     stations = {s.station_id: s for s in build_network(cfg)}
@@ -277,17 +290,7 @@ def open_dataset(cfg: RunConfig, dataset: Path) -> Dataset:
         rows.append((tx, rx, channel_waveform(cfg, channel), footprint))
     expected = (len(rows), cfg.network.antenna_count, cfg.waveform.subcarrier_count)
     samples_header, dtype = _read_samples_header(dataset / "samples.npy", expected)
-    recorded = _manifest_checksums(dataset / "manifest.txt")
-    for name in ("samples.npy", "patches.csv", "config.txt"):
-        if name not in recorded:
-            raise CorruptDatasetError(
-                f"manifest.txt in {dataset} records no checksum of {name}"
-            )
-        if name != "samples.npy" and recorded[name] != _sha256(dataset / name):
-            raise CorruptDatasetError(
-                f"{name} in {dataset} does not match the checksum manifest.txt records"
-            )
-    return Dataset(dataset, rows, samples_header, dtype, recorded["samples.npy"])
+    return Dataset(dataset, rows, samples_header, dtype, recorded["checksum.samples.npy"])
 
 
 def load_dataset(cfg: RunConfig, dataset: Path) -> list[MeasurementPatch]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError
-from .imageio import write_pgm, write_table
+from .imageio import write_table
 
 _SVD_TOLERANCE = 1e-10  # singular values at most this times sigma_max count as zero
 
@@ -181,18 +181,3 @@ def voxel_grid_to_csv(grid: VoxelGrid, path) -> None:
     values = grid.values.reshape(-1)
     columns = (*np.indices(grid.shape).reshape(3, -1), values.real, values.imag)
     write_table(path, ["l", "m", "n", "re", "im"], zip(*(c.tolist() for c in columns)))
-
-
-def voxel_grid_slices_to_pgm(grid: VoxelGrid, directory) -> list:
-    """Per-z-slice magnitude images voxels_<n>.pgm, one per n index; returns the paths."""
-    from pathlib import Path
-
-    if grid.values is None:
-        raise ValueError("grid has no values to export")
-    directory = Path(directory)
-    paths = []
-    for n in range(grid.M_side):
-        p = directory / f"voxels_{n:03d}.pgm"
-        write_pgm(np.abs(grid.values[:, :, n]), p)
-        paths.append(p)
-    return paths

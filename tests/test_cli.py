@@ -48,7 +48,7 @@ from netsar.errors import (
 )
 from netsar.forward import synthesize_measurement
 from netsar.geometry import BeamSpec, beam_footprint
-from netsar.imageio import read_pgm, read_table, write_table
+from netsar.imageio import read_pgm, read_table, write_pgm, write_table
 from netsar.patches import align_and_place, align_distance, wavenumber_vectors
 
 SMALL = RunConfig(
@@ -396,6 +396,21 @@ def _change_the_recorded_algorithm(out):
     (out / "config.txt").write_text(altered)
 
 
+def _break_a_row(out):
+    # a row the parser would refuse: the checksum is compared first
+    header, rows = read_table(out / "patches.csv")
+    rows[0][header.index("channel")] = "9"
+    write_table(out / "patches.csv", header, rows)
+
+
+def _change_a_simulated_key(out):
+    # a key the given config conflicts with: the checksum is compared first
+    config = (out / "config.txt").read_text()
+    altered = config.replace("grid_spacing_m = 150.0", "grid_spacing_m = 120.0")
+    assert altered != config
+    (out / "config.txt").write_text(altered)
+
+
 @pytest.mark.parametrize(
     "alter, name",
     [
@@ -403,9 +418,14 @@ def _change_the_recorded_algorithm(out):
         (_append_a_byte, "samples.npy"),
         (_swap_two_rows, "patches.csv"),
         (_turn_a_beam, "patches.csv"),
+        (_break_a_row, "patches.csv"),
         (_change_the_recorded_algorithm, "config.txt"),
+        (_change_a_simulated_key, "config.txt"),
     ],
-    ids=["sample_changed", "byte_appended", "patches", "planar_changed", "config"],
+    ids=[
+        "sample_changed", "byte_appended", "patches", "planar_changed", "row_broken",
+        "config", "config_simulated",
+    ],
 )
 def test_reconstruct_rejects_an_artifact_that_does_not_match_the_manifest(
     small_dataset, tmp_path, alter, name
@@ -503,6 +523,7 @@ def test_load_dataset_rejects_an_empty_patches_file(tmp_path):
     out = tmp_path / "run"
     assert simulate_run(SMALL, out, seed=7) > 0
     (out / "patches.csv").write_bytes(b"")
+    _record_checksum(out, "patches.csv")
     with pytest.raises(CorruptDatasetError, match="patches.csv"):
         load_dataset(SMALL, out)
 
@@ -514,6 +535,7 @@ def test_main_reconstruct_refuses_a_patches_file_that_is_not_text_in_one_line(
     table = bytearray((out / "patches.csv").read_bytes())
     table[60] = 0xFF
     (out / "patches.csv").write_bytes(bytes(table))
+    _record_checksum(out, "patches.csv")
     rec = tmp_path / "rec"
     rc = main(["reconstruct", "--dataset", str(out), "--out", str(rec)])
     err = capsys.readouterr().err
@@ -521,6 +543,16 @@ def test_main_reconstruct_refuses_a_patches_file_that_is_not_text_in_one_line(
     assert err.startswith(f"netsar: CorruptDatasetError: patches.csv in {out} is not ")
     assert "(byte 60)" in err
     assert not rec.exists()
+
+
+def test_load_dataset_rejects_a_patch_table_of_another_length(small_dataset, tmp_path):
+    out = shutil.copytree(small_dataset, tmp_path / "run")
+    header, rows = read_table(out / "patches.csv")
+    write_table(out / "patches.csv", header, rows[:-1])
+    _record_checksum(out, "patches.csv")
+    message = f"has {len(rows) - 1} rows; manifest.txt records patch_count = {len(rows)}"
+    with pytest.raises(CorruptDatasetError, match=f"patches.csv in .* {message}"):
+        load_dataset(SMALL, out)
 
 
 @pytest.fixture(scope="module")
@@ -573,6 +605,7 @@ def test_load_dataset_rejects_a_malformed_patch_table(
     header, rows = read_table(out / "patches.csv")
     damage(header, rows)
     write_table(out / "patches.csv", header, rows)
+    _record_checksum(out, "patches.csv")
     with pytest.raises(CorruptDatasetError, match=f"patches.csv .*{message}"):
         load_dataset(SMALL, out)
 
@@ -629,6 +662,7 @@ def test_load_dataset_names_a_station_missing_from_the_config(tmp_path):
 def test_load_dataset_names_a_config_that_is_not_utf8(small_dataset, tmp_path):
     out = shutil.copytree(small_dataset, tmp_path / "run")
     (out / "config.txt").write_bytes(b"\xff\xfe\x00junk")
+    _record_checksum(out, "config.txt")
     with pytest.raises(NetsarError, match="config.txt is not UTF-8") as raised:
         load_dataset(SMALL, out)
     assert isinstance(raised.value, ConfigError)
@@ -922,6 +956,35 @@ def test_reconstruct_isar_solves_the_fully_aligned_samples(small_dataset, tmp_pa
     ((k_seen, values_seen),) = seen
     assert k_seen.tobytes() == (-kvecs[::stride]).tobytes()
     assert values_seen.tobytes() == values[::stride].tobytes()
+
+
+def test_the_reconstruction_table_has_one_entry_per_configurable_algorithm():
+    assert tuple(netsar.cli._RECONSTRUCTIONS) == _ALGORITHMS
+
+
+def test_reconstruct_isar_writes_and_lists_one_image_per_z_slice(
+    small_dataset, tmp_path, monkeypatch
+):
+    solved = []
+
+    def capture(k_vectors, values, grid):
+        solved.append(solve(k_vectors, values, grid))
+        return solved[-1]
+
+    solve = netsar.cli.solve_voxel_grid
+    monkeypatch.setattr(netsar.cli, "solve_voxel_grid", capture)
+    cfg = dataclasses.replace(SMALL, reconstruction=ReconstructionConfig(algorithm="isar"))
+    rec = tmp_path / "rec"
+    reconstruct_run(cfg, small_dataset, rec, seed=7)
+    ((voxels, _),) = solved
+    names = [f"voxels_{n:03d}.pgm" for n in range(8)]
+    assert sorted(p.name for p in rec.glob("voxels_*.pgm")) == names
+    manifest = (rec / "manifest.txt").read_text().splitlines()
+    for n, name in enumerate(names):
+        write_pgm(np.abs(voxels.values[:, :, n]), tmp_path / name)
+        written = (rec / name).read_bytes()
+        assert written == (tmp_path / name).read_bytes(), name
+        assert f"checksum.{name} = {hashlib.sha256(written).hexdigest()}" in manifest
 
 
 def test_reconstruct_of_a_refused_dataset_leaves_no_output_directory(small_dataset, tmp_path):

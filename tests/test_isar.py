@@ -13,7 +13,6 @@ from netsar.isar import (
     invert_sensing_tensor,
     pseudo_inverse,
     solve_voxel_grid,
-    voxel_grid_slices_to_pgm,
     voxel_grid_to_csv,
 )
 
@@ -234,9 +233,6 @@ def test_voxel_exports(tmp_path):
     assert rows[0] == "l,m,n,re,im"
     assert len(rows) == 9
     assert rows[1].startswith("0,0,0,0.0")
-    paths = voxel_grid_slices_to_pgm(grid, tmp_path)
-    assert [p.name for p in paths] == ["voxels_000.pgm", "voxels_001.pgm"]
-    assert all(p.exists() for p in paths)
     with pytest.raises(ValueError):
         voxel_grid_to_csv(VoxelGrid(M_side=2, spacing=1.0), tmp_path / "x.csv")
 

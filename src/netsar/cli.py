@@ -25,17 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import projection_slice_check, resolutions
-from .config import RunConfig, load_config, save_config
+from .config import RunConfig, load_config
 from .constants import SPEED_OF_LIGHT
 from .dataset import (
-    PATCH_COLUMNS,
     Dataset,
-    _save_npy,
-    _sha256,
     build_network,
     channel_waveform,
-    load_dataset,  # noqa: F401  (the eager reader, kept importable from the CLI)
+    dataset_config,
+    load_dataset,  # noqa: F401  (bench/spans.py wraps netsar.cli.load_dataset)
     open_dataset,
+    write_dataset,
     write_manifest,
 )
 from .errors import (
@@ -91,16 +90,14 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
     manifest counts the skips by reason.
 
     The loop only plans: it makes every draw and classifies every beam,
-    and keeps each recorded patch's row and synthesis inputs. Then the
-    patches are synthesized one at a time at the complex64 precision
-    samples.npy stores (the Vandermonde product of synthesize_measurement),
-    each written and hashed as it comes, so no more than one patch's
-    samples are held at once. A negative seed raises
+    and keeps each recorded patch's row and synthesis inputs. Then
+    write_dataset writes the dataset as the patches are synthesized one
+    at a time, at the complex64 precision a dataset stores, so no more
+    than one patch's samples are held at once. A negative seed raises
     ConfigError before out is created.
     """
     if seed < 0:
         raise ConfigError(f"seed {seed}: must be nonnegative")
-    out.mkdir(parents=True, exist_ok=True)
     scene = build_scene(cfg)
     stations = build_network(cfg)
     station_xy = [(s.position.x, s.position.y) for s in stations]
@@ -164,22 +161,13 @@ def simulate_run(cfg: RunConfig, out: Path, seed: int) -> int:
                 rows.append([slot, ch, tx.station_id, rx.station_id, tilt, azimuth])
                 plan.append((tx, beam, rx, wf, footprint, (pixels, values)))
 
-    scene_to_csv(scene, out / "scene.csv")
-    write_pgm(np.abs(scene.reflectivity), out / "scene.pgm")
-    save_config(cfg, out / "config.txt")
-    write_table(out / "patches.csv", PATCH_COLUMNS, rows)
-    shape = (len(plan), cfg.network.antenna_count, cfg.waveform.subcarrier_count)
     blocks = (
         synthesize_measurement(
             scene, tx, beam, rx, wf, footprint=footprint, illuminated=lit, dtype=np.complex64
         ).samples
         for tx, beam, rx, wf, footprint, lit in plan
     )
-    extra = [f"checksum.samples.npy = {_save_npy(out / 'samples.npy', shape, blocks)}"]
-    extra += [f"patch_count = {len(rows)}"]
-    extra += [f"skipped.{reason} = {n}" for reason, n in sorted(skipped.items())]
-    names = ["scene.csv", "scene.pgm", "config.txt", "patches.csv", "samples.npy"]
-    write_manifest(out, cfg, seed, extra, names)
+    write_dataset(out, cfg, seed, scene, rows, blocks, skipped)
     return len(rows)
 
 
@@ -345,14 +333,10 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
     procedure1 and isar the rows of the largest beam group, 3d none.
     Out is created, and each artifact the entry names written, only after
     the last row, once samples.npy has matched its checksum, so a refused dataset
-    leaves no output directory. An out that resolves to the dataset
-    directory, holds another dataset's samples.npy, or is or lies below an
-    existing file, raises ConfigError before anything is read or written.
+    leaves no output directory. An out that holds a samples.npy (the
+    dataset's own or another's), or is or lies below an existing file,
+    raises ConfigError before anything is read or written.
     """
-    if out.resolve() == dataset.resolve():
-        raise ConfigError(
-            f"output directory {out} is the dataset {dataset}; write the reconstruction elsewhere"
-        )
     if (out / "samples.npy").exists():
         raise ConfigError(
             f"output directory {out} holds a dataset; write the reconstruction elsewhere"
@@ -366,8 +350,7 @@ def reconstruct_run(cfg: RunConfig, dataset: Path, out: Path, seed: int) -> None
     report = _report_header(cfg, len(data)) + report
     (out / "report.txt").write_text("\n".join(report) + "\n")
     write_manifest(
-        out, cfg, seed, [f"dataset_manifest = {_sha256(dataset / 'manifest.txt')}"],
-        ["report.txt", *artifacts],
+        out, cfg, seed, [f"dataset_manifest = {data.manifest_sha256}"], ["report.txt", *artifacts]
     )
 
 
@@ -451,12 +434,11 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed {args.seed}: must be nonnegative")
-    config = args.config
-    if config is None and args.command == "reconstruct":
+    if args.config is None and args.command == "reconstruct":
         # a dataset records the config it was simulated with
-        if (args.dataset / "config.txt").exists():
-            config = args.dataset / "config.txt"
-    cfg = load_config(config) if config else RunConfig()
+        cfg = dataset_config(args.dataset)
+    else:
+        cfg = load_config(args.config) if args.config else RunConfig()
     seed = args.seed if args.seed is not None else cfg.schedule.seed
     out = args.out if args.out is not None else Path(cfg.output_dir)
     _refuse_a_file_out(out)

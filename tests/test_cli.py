@@ -19,7 +19,6 @@ import netsar
 import netsar.cli
 import netsar.dataset
 from netsar.cli import (
-    PATCH_COLUMNS,
     build_network,
     build_scene,
     channel_waveform,
@@ -38,6 +37,7 @@ from netsar.config import (
     ScheduleConfig,
     save_config,
 )
+from netsar.dataset import PATCH_COLUMNS
 from netsar.errors import (
     ConfigError,
     CorruptDatasetError,
@@ -351,13 +351,15 @@ def test_load_dataset_rejects_a_truncated_samples_file(tmp_path):
 
 
 def _record_checksum(dataset, name):
-    """Rewrite the manifest's checksum of one artifact to match the file."""
+    """Rewrite the manifest's checksum of one artifact to match the file,
+    and, for config.txt, the config_hash that equals that checksum."""
     digest = hashlib.sha256((dataset / name).read_bytes()).hexdigest()
     manifest = dataset / "manifest.txt"
-    lines = [
-        f"checksum.{name} = {digest}" if line.startswith(f"checksum.{name} = ") else line
-        for line in manifest.read_text().splitlines()
-    ]
+    keys = {f"checksum.{name}"} | ({"config_hash"} if name == "config.txt" else set())
+    lines = []
+    for line in manifest.read_text().splitlines():
+        key = line.partition(" = ")[0]
+        lines.append(f"{key} = {digest}" if key in keys else line)
     manifest.write_text("\n".join(lines) + "\n")
 
 
@@ -448,8 +450,13 @@ def test_load_dataset_needs_the_manifest_to_record_each_checksum(small_dataset, 
 
 @pytest.mark.parametrize(
     "stored",
-    [lambda s: s.real.astype(np.float64), lambda s: s.astype(object)],
-    ids=["float64", "object"],
+    [
+        lambda s: s.real.astype(np.float64),
+        lambda s: s.astype(object),
+        lambda s: s.astype(np.complex128),
+        lambda s: s.astype(">c8"),
+    ],
+    ids=["float64", "object", "complex128", "big_endian"],
 )
 def test_load_dataset_rejects_samples_that_are_not_complex(
     small_dataset, tmp_path, monkeypatch, stored
@@ -465,21 +472,6 @@ def test_load_dataset_rejects_samples_that_are_not_complex(
     monkeypatch.setattr(pickle, "loads", unpickle)
     with pytest.raises(CorruptDatasetError, match="samples.npy in .* not complex"):
         load_dataset(SMALL, out)
-
-
-@pytest.mark.parametrize(
-    "stored",
-    [lambda s: s.astype(np.complex128), lambda s: s.astype(">c8")],
-    ids=["complex128", "big_endian"],
-)
-def test_load_dataset_reads_samples_stored_otherwise(small_dataset, tmp_path, stored):
-    out = shutil.copytree(small_dataset, tmp_path / "run")
-    np.save(out / "samples.npy", stored(np.load(out / "samples.npy")))
-    _record_checksum(out, "samples.npy")
-    dtype = np.load(out / "samples.npy").dtype
-    for loaded, original in zip(load_dataset(SMALL, out), load_dataset(SMALL, small_dataset)):
-        assert loaded.samples.dtype == dtype
-        assert np.array_equal(loaded.samples, original.samples)
 
 
 @pytest.mark.parametrize(
@@ -573,6 +565,20 @@ def _rename_column(name):
     return damage
 
 
+def _swap_tilt_and_planar(header, rows):
+    # every value still under its own name, in another order
+    for cells in (header, *rows):
+        cells[4], cells[5] = cells[5], cells[4]
+
+
+def _store_earlier_columns(header, rows):
+    # patches.csv once also stored each row's index, carrier and footprint
+    # center, all of which follow from the config and the beam
+    header[:] = ["index", *header[:4], "carrier_hz", "center_x", "center_y", *header[4:]]
+    for index, row in enumerate(rows):
+        row[:] = [str(index), *row[:4], "5000000000.0", "0.0", "0.0", *row[4:]]
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -585,7 +591,11 @@ def _rename_column(name):
         (_set_cell(0, "tilt", "-0.1"), "line 2, column tilt: '-0.1' is not a valid beam"),
         (_set_cell(1, "tilt", "1.5"), "line 3, column tilt: '1.5' is not a valid beam"),
     ]
-    + [(_rename_column(name), rf"no column \['{name}'\]") for name in PATCH_COLUMNS],
+    + [(_rename_column(name), rf"has columns \[.*'{name}_renamed'") for name in PATCH_COLUMNS]
+    + [
+        (_swap_tilt_and_planar, r"has columns \[.*'planar', 'tilt'\]"),
+        (_store_earlier_columns, r"has columns \['index', 'slot', .*'center_y', 'tilt'"),
+    ],
     ids=[
         "channel_past_the_end",
         "channel_negative",
@@ -596,7 +606,8 @@ def _rename_column(name):
         "tilt_negative",
         "beam_edge_past_the_horizon",
     ]
-    + [f"column_missing_{name}" for name in PATCH_COLUMNS],
+    + [f"column_missing_{name}" for name in PATCH_COLUMNS]
+    + ["columns_reordered", "columns_of_earlier_datasets"],
 )
 def test_load_dataset_rejects_a_malformed_patch_table(
     small_dataset, tmp_path, damage, message
@@ -689,26 +700,28 @@ def test_load_dataset_rejects_a_config_the_dataset_was_not_simulated_with(
         load_dataset(cfg, small_dataset)
 
 
-def test_load_dataset_ignores_the_columns_earlier_datasets_stored(small_dataset, tmp_path):
-    # patches.csv once also stored each row's index, carrier and footprint
-    # center, all of which follow from the config and the beam
+def test_load_dataset_refuses_a_config_that_names_a_removed_tuning_key(small_dataset, tmp_path):
+    # datasets of every earlier patches.csv and samples.npy layout carry
+    # the reconstruction tuning keys that are now literals, so they never
+    # reach the checks of those layouts
     out = shutil.copytree(small_dataset, tmp_path / "run")
-    patches = load_dataset(SMALL, small_dataset)
-    header, rows = read_table(out / "patches.csv")
-    old = ["index", "slot", "channel", "tx_id", "rx_id", "carrier_hz",
-           "center_x", "center_y", "tilt", "planar"]
-    table = []
-    for index, (row, p) in enumerate(zip(rows, patches)):
-        cells = dict(zip(header, row), index=index, carrier_hz=p.waveform.carrier_frequency,
-                     center_x=p.region_center.x, center_y=p.region_center.y)
-        table.append([cells[name] for name in old])
-    write_table(out / "patches.csv", old, table)
-    _record_checksum(out, "patches.csv")
-    for loaded, p in zip(load_dataset(SMALL, out), patches, strict=True):
-        assert np.array_equal(loaded.samples, p.samples)
-        assert np.array_equal(loaded.direction, p.direction)
-        for name in ("tx", "rx", "bistatic_scale", "region_center", "waveform", "footprint"):
-            assert getattr(loaded, name) == getattr(p, name), name
+    with open(out / "config.txt", "a", encoding="utf-8") as fh:
+        fh.write("reconstruction.peak_threshold_db = 12.0\n")
+    _record_checksum(out, "config.txt")
+    with pytest.raises(ConfigError, match="config.txt.*reconstruction.peak_threshold_db"):
+        load_dataset(SMALL, out)
+
+
+def test_load_dataset_refuses_a_config_hash_other_than_the_config_checksum(
+    small_dataset, tmp_path
+):
+    out = shutil.copytree(small_dataset, tmp_path / "run")
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert lines[0].startswith("config_hash = ")
+    lines[0] = f"config_hash = {'0' * 64}"
+    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptDatasetError, match="config_hash other than config.txt's checksum"):
+        load_dataset(SMALL, out)
 
 
 def test_reconstruct_intersect_writes_estimates(tmp_path):
@@ -755,8 +768,8 @@ def test_reconstruct_refuses_to_write_into_its_own_dataset(tmp_path, monkeypatch
     assert main(["reconstruct", "--dataset", "./out"]) != 0
     err = capsys.readouterr().err
     assert err.startswith("netsar: ConfigError: ")
-    assert re.search("output directory out is the dataset", err)
-    with pytest.raises(ConfigError, match="is the dataset"):
+    assert re.search("output directory out holds a dataset", err)
+    with pytest.raises(ConfigError, match="output directory out holds a dataset"):
         reconstruct_run(SMALL, tmp_path / "out", Path("out"), seed=7)
     assert (tmp_path / "out" / "manifest.txt").read_bytes() == manifest
     assert not (tmp_path / "out" / "report.txt").exists()

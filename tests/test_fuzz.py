@@ -8,7 +8,8 @@ dataset's own config.txt) either exits 1 with one line on stderr naming a
 NetsarError subclass and makes no output directory, or writes an
 estimates.csv and a report.txt byte-identical to the clean run's. Only
 manifest.txt has bytes that no check reads (its skip counts, for one), so
-damage to any other file is always refused.
+damage to any other file is always refused; damage to config.txt as a
+CorruptDatasetError, since its checksum is compared before it is parsed.
 """
 
 import dataclasses
@@ -73,6 +74,8 @@ def test_a_damaged_dataset_is_refused_in_one_line_or_reconstructs_unchanged(tmp_
         assert rc == 1 and err.count("\n") == 1, (trial, name, err)
         kind = err.removeprefix("netsar: ").partition(":")[0]
         assert issubclass(getattr(netsar.errors, kind), netsar.errors.NetsarError), err
+        if name == "config.txt":
+            assert kind == "CorruptDatasetError", (trial, err)
         assert not out.exists(), (trial, name)
         refused[name] += 1
     assert refused["config.txt"] == refused["patches.csv"] == refused["samples.npy"] == 10
